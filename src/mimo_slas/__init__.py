@@ -14,6 +14,7 @@ from .linalg import (
     FlopCounter,
     SingularMatrixError,
     gauss_invert,
+    hermitian_solve,
     hermitian_transpose,
     mat_mul,
     mat_vec,

@@ -38,7 +38,7 @@ import sys
 
 from .complexity import CostKind, benchmark, flops_closed_form, reconcile
 from .detectors import DetectorKind
-from .linalg import FlopCounter
+from .linalg import FlopCounter, SingularMatrixError
 from .montecarlo import (
     ExperimentConfig,
     PointSpec,
@@ -138,7 +138,11 @@ PRESETS: dict[str, tuple[str, dict]] = {
 
 
 def _parse_number_list(text: str, kind):
-    """Parse 'a,b,c' or inclusive 'start:step:stop' into a list of numbers."""
+    """Parse 'a,b,c' or inclusive 'start:step:stop' into a list of numbers.
+
+    With ``kind=int`` every value must be integral; 1.7 is rejected, not
+    truncated.
+    """
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -155,8 +159,13 @@ def _parse_number_list(text: str, kind):
                 break
             values.append(v)
             k += 1
-        return [kind(v) for v in values]
-    return [kind(float(p)) if kind is int else kind(p) for p in text.split(",") if p]
+    else:
+        values = [float(p) for p in text.split(",") if p]
+    if kind is int:
+        bad = [v for v in values if not v.is_integer()]
+        if bad:
+            raise ValueError(f"expected integers, got {bad[0]:g} in {text!r}")
+    return [kind(v) for v in values]
 
 
 def _int_list(text: str) -> list[int]:
@@ -254,8 +263,12 @@ def _write_rows(columns, rows, out_path: str | None, fmt: str) -> None:
         sys.stdout.write(text)
 
 
-def _measured_detection_flops(point: PointSpec) -> int:
-    """Instrumented cost of one representative detection (trial index 0)."""
+def _measured_detection_flops(point: PointSpec) -> int | None:
+    """Instrumented cost of one representative detection (trial index 0).
+
+    ``None`` when trial 0's channel is numerically singular for the detector;
+    the sweep counted such trials as aborted and flagged the cell.
+    """
     from .channel import SnrSpec, assemble, sample_bpsk, sample_channel
     from .detectors import mf, mmse, slice_bpsk, zf
     from .slas import precompute, run
@@ -266,12 +279,15 @@ def _measured_detection_flops(point: PointSpec) -> int:
     b_true = sample_bpsk(point.nt, snr.es, rng)
     inst = assemble(h, b_true, snr, rng)
     counter = FlopCounter()
-    if point.detector is DetectorKind.MF:
-        soft = mf(inst.h, inst.y, counter)
-    elif point.detector is DetectorKind.ZF:
-        soft = zf(inst.h, inst.y, counter)
-    else:
-        soft = mmse(inst.h, inst.y, snr, counter)
+    try:
+        if point.detector is DetectorKind.MF:
+            soft = mf(inst.h, inst.y, counter)
+        elif point.detector is DetectorKind.ZF:
+            soft = zf(inst.h, inst.y, counter)
+        else:
+            soft = mmse(inst.h, inst.y, snr, counter)
+    except SingularMatrixError:
+        return None
     if point.las_enabled:
         ws = precompute(inst.h, inst.y, counter)
         run(ws, slice_bpsk(soft), point.rho, point.n_f, counter=counter)
@@ -285,6 +301,7 @@ def _ber_rows(experiment: str, results) -> list[dict]:
         model = flops_closed_form(CostKind(p.detector.value), p.nt, p.nr).flops
         if p.las_enabled:
             model += flops_closed_form(CostKind.LAS, p.nt, p.nr, p.n_f).flops
+        measured = _measured_detection_flops(p)
         rows.append(
             {
                 "experiment": experiment,
@@ -299,7 +316,7 @@ def _ber_rows(experiment: str, results) -> list[dict]:
                 "bit_errors": bp.bit_errors,
                 "ber": f"{bp.ber:.5e}",
                 "flops_model": model,
-                "flops_measured": _measured_detection_flops(p),
+                "flops_measured": "" if measured is None else measured,
                 "flagged": "true" if bp.flagged else "false",
             }
         )

@@ -1,11 +1,14 @@
 """Linear uplink detectors: matched filter, zero forcing, and MMSE.
 
 All three return a :class:`SoftEstimate` whose ``flops_spent`` is the
-instrumented real-flop cost of the call.  ZF and MMSE build the explicit
-filter matrix ``W = G^-1 H^H`` (Gram inverse times conjugate transpose) and
-then apply it to ``y`` — deliberately not the cheaper "invert, then multiply
-the matched-filter vector" order — so the instrumented totals line up with
-the closed-form cost models in :mod:`mimo_slas.complexity`.
+instrumented real-flop cost of the call.  ZF and MMSE still form the
+explicit filter matrix ``W = G^-1 H^H``, now by solving ``G W = H^H``
+(:func:`~mimo_slas.linalg.hermitian_solve`) rather than by inverting ``G``,
+and then apply it to ``y``.  The solve is charged the inversion lump plus
+the product with ``H^H`` — the explicit-``W`` order, deliberately not the
+cheaper "invert, then multiply the matched-filter vector" one — so the
+instrumented totals line up with the closed-form cost models in
+:mod:`mimo_slas.complexity`.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SnrSpec
-from .linalg import FlopCounter, gauss_invert, hermitian_transpose, mat_mul, mat_vec
+from .linalg import FlopCounter, hermitian_solve, hermitian_transpose, mat_mul, mat_vec
 
 __all__ = ["DetectorKind", "SoftEstimate", "HardDecision", "mf", "zf", "mmse", "slice_bpsk"]
 
@@ -67,8 +70,7 @@ def zf(h: np.ndarray, y: np.ndarray, counter: FlopCounter | None = None) -> Soft
     local = FlopCounter()
     hh = hermitian_transpose(h)
     gram = mat_mul(hh, h, local)
-    gram_inv = gauss_invert(gram, local)
-    filt = mat_mul(gram_inv, hh, local)
+    filt = hermitian_solve(gram, hh, local)
     values = mat_vec(filt, y, local)
     _merge(counter, local)
     return SoftEstimate(values=values, detector_kind=DetectorKind.ZF, flops_spent=local.total)
@@ -90,8 +92,7 @@ def mmse(
     reg = gram.copy()
     reg[np.diag_indices(nt)] += snr.n0 / snr.es
     local.charge(additions=2 * nt, multiplications=2 * nt)
-    reg_inv = gauss_invert(reg, local)
-    filt = mat_mul(reg_inv, hh, local)
+    filt = hermitian_solve(reg, hh, local)
     values = mat_vec(filt, y, local)
     _merge(counter, local)
     return SoftEstimate(values=values, detector_kind=DetectorKind.MMSE, flops_spent=local.total)

@@ -10,13 +10,16 @@ operations to an optional :class:`FlopCounter` under the convention
 * data movement (transpose, conjugation, real-part extraction) = 0 flops.
 
 A matrix product (m x p)(p x n) therefore charges ``6*m*n*p`` multiplication
-flops and ``2*m*n*(p-1)`` addition flops.  Matrix inversion is Gauss-Jordan
-elimination with partial pivoting and is charged the textbook lump cost
-``ceil(2/3 * n^3)`` so that instrumented totals line up with the closed-form
-detector cost models in :mod:`mimo_slas.complexity`.
+flops and ``2*m*n*(p-1)`` addition flops.  Matrix inversion is charged the
+textbook lump cost ``ceil(2/3 * n^3)`` so that instrumented totals line up
+with the closed-form detector cost models in :mod:`mimo_slas.complexity`.
 
-No BLAS-style blocking or solve-instead-of-invert shortcuts: countability and
-clarity win over raw speed here.
+The ZF and MMSE filters ``G^-1 B`` are computed by :func:`hermitian_solve`
+through numpy's LAPACK (a Cholesky check, then a solve) and charged as if
+the inverse had been formed: the inversion lump plus the product with ``B``.
+:func:`gauss_invert`, Gauss-Jordan elimination with partial pivoting, is the
+reference the tests compare against and the path that decides, and reports,
+a numerically singular matrix.
 """
 
 from __future__ import annotations
@@ -33,11 +36,16 @@ __all__ = [
     "mat_mul",
     "mat_vec",
     "gauss_invert",
+    "hermitian_solve",
     "real_part_scaled",
     "mat_mul_flops",
     "mat_vec_flops",
     "gauss_invert_flops",
 ]
+
+
+# Smallest pivot magnitude ``gauss_invert`` accepts by default.
+_PIVOT_TOL = 1e-12
 
 
 class DimensionMismatchError(ValueError):
@@ -152,7 +160,7 @@ def mat_vec(a: np.ndarray, x: np.ndarray, counter: FlopCounter | None = None) ->
 
 
 def gauss_invert(
-    a: np.ndarray, counter: FlopCounter | None = None, pivot_tol: float = 1e-12
+    a: np.ndarray, counter: FlopCounter | None = None, pivot_tol: float = _PIVOT_TOL
 ) -> np.ndarray:
     """Explicit inverse by Gauss-Jordan elimination with partial pivoting.
 
@@ -179,6 +187,48 @@ def gauss_invert(
     if counter is not None:
         counter.charge(multiplications=gauss_invert_flops(n))
     return np.ascontiguousarray(aug[:, n:])
+
+
+# Squared Cholesky pivots can exceed the Gauss-Jordan pivots that decide
+# singularity, so a matrix whose squared pivots come within this factor of
+# ``_PIVOT_TOL`` is left to ``gauss_invert`` to decide.
+_CHOLESKY_MARGIN = 1e4
+
+
+def hermitian_solve(
+    a: np.ndarray, b: np.ndarray, counter: FlopCounter | None = None
+) -> np.ndarray:
+    """``a^-1 b`` for a Hermitian positive-definite ``a`` (a Gram matrix).
+
+    Charges what ``mat_mul(gauss_invert(a), b)`` charges: the lump
+    ceil(2/3 * n^3), then the (n x n)(n x m) product.  A Cholesky
+    factorization checks that ``a`` is positive definite with every squared
+    pivot ``|L_kk|^2`` at least ``_CHOLESKY_MARGIN * _PIVOT_TOL``;
+    ``np.linalg.solve`` then forms the result.  A matrix that fails the
+    check goes to :func:`gauss_invert`, which raises
+    :class:`SingularMatrixError` naming the pivot column, or returns the
+    inverse that is then multiplied by ``b``.  Near the tolerance it is
+    therefore ``gauss_invert`` that decides, and reports, singularity.
+    """
+    a = _as_matrix(a, "a")
+    b = _as_matrix(b, "b")
+    n, m = a.shape
+    if n != m:
+        raise DimensionMismatchError(f"cannot invert non-square {n}x{m} matrix")
+    if b.shape[0] != n:
+        raise DimensionMismatchError(
+            f"cannot solve a {n}x{n} system for {b.shape[0]}x{b.shape[1]} right-hand sides"
+        )
+    try:
+        pivots = np.abs(np.diagonal(np.linalg.cholesky(a))) ** 2
+    except np.linalg.LinAlgError:
+        pivots = None
+    if pivots is None or np.any(pivots < _CHOLESKY_MARGIN * _PIVOT_TOL):
+        return mat_mul(gauss_invert(a, counter), b, counter)
+    if counter is not None:
+        adds, mults = mat_mul_flops(n, b.shape[1], n)
+        counter.charge(additions=adds, multiplications=mults + gauss_invert_flops(n))
+    return np.linalg.solve(a, b)
 
 
 def real_part_scaled(

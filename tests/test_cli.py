@@ -56,6 +56,13 @@ class TestNumberLists:
         assert _parse_number_list("0.8:0.05:1.2", float)[-1] == 1.2
         assert len(_parse_number_list("0.8:0.05:1.2", float)) == 9
 
+    def test_integer_lists_reject_fractions(self):
+        assert _parse_number_list("1:1:3", int) == [1, 2, 3]
+        assert _parse_number_list("2.0,4", int) == [2, 4]
+        for text in ("1.7,2", "1:0.5:3", "0.5:1:2.5"):
+            with pytest.raises(ValueError):
+                _parse_number_list(text, int)
+
     def test_range_errors(self):
         with pytest.raises(ValueError):
             _parse_number_list("1:2", int)
@@ -98,6 +105,23 @@ class TestBerCommands:
         assert code == 0
         assert "wrote 1 rows" in out
         assert target.read_text().startswith("# schema_version=1\n")
+
+    def test_singular_zf_cell_is_flagged_not_fatal(self, tmp_path, capsys):
+        # nt > nr: every Gram matrix is singular, trial 0's included
+        target = tmp_path / "zf.csv"
+        code = main(
+            ["ber-snr", "--nt", "4", "--nr", "2", "--detector", "zf",
+             "--snr-list", "10", "--las", "off", "--trials", "200",
+             "--out", str(target)]
+        )
+        capsys.readouterr()
+        assert code == 0
+        (row,) = _parse_csv(target.read_text())
+        assert row["trials"] == "200"
+        assert row["bit_errors"] == "0"
+        assert row["ber"] == "nan"
+        assert row["flops_measured"] == ""
+        assert row["flagged"] == "true"
 
     def test_rho_column_empty_when_search_off(self, capsys):
         argv = [a if a != "on" else "off" for a in TINY]
@@ -290,6 +314,12 @@ class TestUsageErrors:
             main(["ber-snr", "--snr-list", "0:5"])
         assert exc_info.value.code == 2
 
+    def test_fractional_antenna_count_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["ber-antennas", "--n-list", "1.7,2"])
+        assert exc_info.value.code == 2
+        assert "1.7,2" in capsys.readouterr().err
+
 
 def test_presets_cover_every_figure_family():
     assert set(PRESETS) == {f"fig{i}" for i in range(1, 11)}
@@ -297,7 +327,7 @@ def test_presets_cover_every_figure_family():
     assert commands == {"ber-snr", "ber-antennas", "ber-rho", "trace", "flops"}
 
 
-def test_console_script_is_byte_deterministic_across_jobs():
+def test_console_script_is_byte_deterministic_across_jobs(package_env):
     argv = [
         "ber-snr", "--nt", "8", "--nr", "8", "--snr-list", "0,5",
         "--detector", "mf", "--las", "on", "--trials", "64",
@@ -309,6 +339,7 @@ def test_console_script_is_byte_deterministic_across_jobs():
             [sys.executable, "-m", "mimo_slas.cli"] + argv + ["--jobs", jobs],
             capture_output=True,
             check=True,
+            env=package_env,
         )
         runs[jobs] = proc.stdout
     assert runs["1"] == runs["4"]

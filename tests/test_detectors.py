@@ -62,6 +62,32 @@ def test_mmse_matches_direct_regularized_solve():
     np.testing.assert_allclose(est.values, ref, rtol=1e-9)
 
 
+def _ill_conditioned_square(n, cond, seed):
+    """n x n channel with singular values spread geometrically over ``cond``."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    h = u @ np.diag(np.geomspace(1.0, 1.0 / cond, n)) @ v.conj().T
+    b = sample_bpsk(n, 1.0, rng)
+    return h, h @ b + 0.01 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+@pytest.mark.parametrize("n,cond", [(2, 1e3), (8, 1e3), (32, 1e3), (16, 1e4)])
+def test_zf_and_mmse_match_numpy_solve_on_ill_conditioned_square_channels(n, cond):
+    # Two backward-stable solves of G x = H^H y differ by up to about
+    # cond(G) * eps relative to the largest value; cond(G) = cond(H)^2.
+    h, y = _ill_conditioned_square(n, cond, n)
+    hh = h.conj().T
+    tol = 100 * cond**2 * np.finfo(float).eps
+    est = zf(h, y)
+    ref = np.linalg.solve(hh @ h, hh @ y)
+    np.testing.assert_allclose(est.values, ref, rtol=0, atol=tol * np.max(np.abs(ref)))
+    snr = SnrSpec(snr_db=30.0)
+    est = mmse(h, y, snr)
+    ref = np.linalg.solve(hh @ h + (snr.n0 / snr.es) * np.eye(n), hh @ y)
+    np.testing.assert_allclose(est.values, ref, rtol=0, atol=tol * np.max(np.abs(ref)))
+
+
 def test_mmse_with_zero_noise_equals_zf():
     h, _, y = _instance(8, 8, 5)
     est_zf = zf(h, y)

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from mimo_slas.channel import SnrSpec, sample_channel
 from mimo_slas.linalg import (
     DimensionMismatchError,
     FlopCounter,
     SingularMatrixError,
     gauss_invert,
     gauss_invert_flops,
+    hermitian_solve,
     hermitian_transpose,
     mat_mul,
     mat_mul_flops,
@@ -165,6 +167,83 @@ class TestGaussInvert:
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatchError):
             gauss_invert(np.ones((2, 3)), FlopCounter())
+
+
+def _hermitian_pd(n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return x.conj().T @ x + n * np.eye(n)
+
+
+def _outcome(fn):
+    """(result, None) or (None, SingularMatrixError) of one call."""
+    try:
+        return fn(), None
+    except SingularMatrixError as exc:
+        return None, exc
+
+
+class TestHermitianSolve:
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 128])
+    def test_matches_gauss_invert_product(self, n):
+        a = _hermitian_pd(n, 100 + n)
+        rng = np.random.default_rng(200 + n)
+        b = rng.standard_normal((n, n + 3)) + 1j * rng.standard_normal((n, n + 3))
+        got = hermitian_solve(a, b, FlopCounter())
+        np.testing.assert_allclose(got, gauss_invert(a, FlopCounter()) @ b, rtol=1e-9)
+
+    def test_charge_is_inverse_lump_plus_product(self):
+        a = _hermitian_pd(6, 1)
+        b = np.ones((6, 9), dtype=complex)
+        solved, reference = FlopCounter(), FlopCounter()
+        hermitian_solve(a, b, solved)
+        mat_mul(gauss_invert(a, reference), b, reference)
+        assert solved == reference
+
+    def test_indefinite_matrix_falls_back_to_gauss_jordan(self):
+        # Hermitian and invertible but not positive definite: Cholesky
+        # fails, and the result is the Gauss-Jordan inverse times b.
+        a = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        b = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], dtype=complex)
+        solved, reference = FlopCounter(), FlopCounter()
+        got = hermitian_solve(a, b, solved)
+        np.testing.assert_array_equal(got, mat_mul(gauss_invert(a, reference), b, reference))
+        assert solved == reference
+
+    def test_singular_exactly_when_gauss_invert_is(self):
+        """Gram and MMSE-regularised Gram matrices over nt in 1..8 and
+        nr in {nt-1, nt, nt+1}: the same matrices raise, with the same
+        column and message.  At 120 and 140 dB the regularisation puts the
+        rank-deficient matrices near the pivot tolerance 1e-12."""
+        raised = 0
+        for nt in range(1, 9):
+            for nr in (nt - 1, nt, nt + 1):
+                if nr < 1:
+                    continue
+                for seed in range(8):
+                    h = sample_channel(nt, nr, np.random.default_rng((nt, nr, seed)))
+                    gram = h.conj().T @ h
+                    for snr_db in (None, 10.0, 40.0, 120.0, 140.0):
+                        g = gram.copy()
+                        if snr_db is not None:
+                            snr = SnrSpec(snr_db)
+                            g[np.diag_indices(nt)] += snr.n0 / snr.es
+                        _, expected = _outcome(lambda: gauss_invert(g))
+                        _, got = _outcome(lambda: hermitian_solve(g, h.conj().T))
+                        case = f"nt={nt} nr={nr} seed={seed} snr_db={snr_db}"
+                        assert (got is None) == (expected is None), case
+                        if expected is not None:
+                            raised += 1
+                            assert got.column == expected.column, case
+                            assert str(got) == str(expected), case
+        # every unregularised Gram with nr = nt - 1 is rank deficient
+        assert raised >= 7 * 8
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            hermitian_solve(np.ones((2, 3)), np.ones((2, 1)))
+        with pytest.raises(DimensionMismatchError):
+            hermitian_solve(np.eye(3), np.ones((2, 1)))
 
 
 class TestRealPartScaled:
