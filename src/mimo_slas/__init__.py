@@ -8,7 +8,7 @@ threshold-optimization, and convergence experiments.
 
 from .channel import ChannelInstance, SnrSpec, assemble, hardening_metric, sample_bpsk, sample_channel
 from .complexity import BenchmarkStats, CostKind, FlopModel, ReconciliationReport, benchmark, flops_closed_form, reconcile
-from .detectors import DetectorKind, HardDecision, SoftEstimate, mf, mmse, slice_bpsk, zf
+from .detectors import DetectorKind, HardDecision, SoftEstimate, detect, mf, mmse, slice_bpsk, zf
 from .linalg import (
     DimensionMismatchError,
     FlopCounter,
@@ -25,6 +25,7 @@ from .montecarlo import (
     ExperimentConfig,
     PointSpec,
     TraceAggregate,
+    draw,
     run_point,
     run_sweep,
     run_trace,
@@ -33,16 +34,6 @@ from .montecarlo import (
 )
 from .oracle import MlResult, is_local_optimum, ml_bruteforce
 from .selfcheck import CHECK_NAMES, run_selfcheck
-from .slas import (
-    SlasState,
-    SlasTrace,
-    SlasWorkspace,
-    apply_flip,
-    flip_decision,
-    gradient_full,
-    likelihood,
-    precompute,
-    run,
-)
+from .slas import SlasTrace, SlasWorkspace, gradient_full, likelihood, precompute, run
 
 __version__ = "0.1.0"

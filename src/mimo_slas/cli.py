@@ -36,17 +36,20 @@ import json
 import os
 import sys
 
+from .channel import SnrSpec
 from .complexity import CostKind, benchmark, flops_closed_form, reconcile
-from .detectors import DetectorKind
+from .detectors import DetectorKind, detect, mf, slice_bpsk
 from .linalg import FlopCounter, SingularMatrixError
 from .montecarlo import (
     ExperimentConfig,
     PointSpec,
+    check_snr_keys,
+    draw,
     run_sweep,
     run_trace,
-    trial_rng,
 )
 from .selfcheck import run_selfcheck
+from .slas import full_recompute_step_flops, precompute, run
 
 SCHEMA_VERSION = 1
 
@@ -168,12 +171,20 @@ def _parse_number_list(text: str, kind):
     return [kind(v) for v in values]
 
 
+def _list_arg(text: str, kind) -> list:
+    # argparse shows an ArgumentTypeError's own message, not "invalid <type> value"
+    try:
+        return _parse_number_list(text, kind)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _int_list(text: str) -> list[int]:
-    return _parse_number_list(text, int)
+    return _list_arg(text, int)
 
 
 def _float_list(text: str) -> list[float]:
-    return _parse_number_list(text, float)
+    return _list_arg(text, float)
 
 
 def _detectors(choice: str) -> tuple[DetectorKind, ...]:
@@ -269,23 +280,10 @@ def _measured_detection_flops(point: PointSpec) -> int | None:
     ``None`` when trial 0's channel is numerically singular for the detector;
     the sweep counted such trials as aborted and flagged the cell.
     """
-    from .channel import SnrSpec, assemble, sample_bpsk, sample_channel
-    from .detectors import mf, mmse, slice_bpsk, zf
-    from .slas import precompute, run
-
-    rng = trial_rng(point.master_seed, point.nt, point.nr, point.snr_db, 0)
-    snr = SnrSpec(point.snr_db)
-    h = sample_channel(point.nt, point.nr, rng)
-    b_true = sample_bpsk(point.nt, snr.es, rng)
-    inst = assemble(h, b_true, snr, rng)
+    inst = draw(point.master_seed, point.nt, point.nr, point.snr_db, 0)
     counter = FlopCounter()
     try:
-        if point.detector is DetectorKind.MF:
-            soft = mf(inst.h, inst.y, counter)
-        elif point.detector is DetectorKind.ZF:
-            soft = zf(inst.h, inst.y, counter)
-        else:
-            soft = mmse(inst.h, inst.y, snr, counter)
+        soft = detect(point.detector, inst.h, inst.y, SnrSpec(point.snr_db), counter)
     except SingularMatrixError:
         return None
     if point.las_enabled:
@@ -428,6 +426,7 @@ def cmd_trace(args, parser) -> int:
     detector = DetectorKind(_setting(args, preset, config, "detector", "mf", "detector"))
     steps = _setting(args, preset, config, "steps", 128, "n_f")
     trials = _setting(args, preset, config, "trials", 50, "max_trials")
+    check_snr_keys(snr_list)
     rows = []
     for snr_db in snr_list:
         for rho in rho_list:
@@ -491,10 +490,6 @@ def _flops_row(report, bench=None) -> dict:
 
 
 def cmd_flops(args, parser) -> int:
-    from .channel import SnrSpec, assemble, sample_bpsk, sample_channel
-    from .detectors import mf, mmse, slice_bpsk, zf
-    from .slas import precompute, run
-
     preset = _preset_values(args, parser, "flops")
     seed = _resolve_seed(args.seed, None)
     n_list = _setting(args, preset, {}, "n_list", list(_POW2))
@@ -505,18 +500,10 @@ def cmd_flops(args, parser) -> int:
     rows = []
     columns = FLOPS_COLUMNS + (BENCH_COLUMNS if do_bench else [])
     for n in n_list:
-        rng = trial_rng(seed, n, n, snr.snr_db, 0)
-        h = sample_channel(n, n, rng)
-        b_true = sample_bpsk(n, snr.es, rng)
-        inst = assemble(h, b_true, snr, rng)
+        inst = draw(seed, n, n, snr.snr_db, 0)
         for kind in (CostKind.MF, CostKind.ZF, CostKind.MMSE):
             counter = FlopCounter()
-            if kind is CostKind.MF:
-                mf(inst.h, inst.y, counter)
-            elif kind is CostKind.ZF:
-                zf(inst.h, inst.y, counter)
-            else:
-                mmse(inst.h, inst.y, snr, counter)
+            detect(DetectorKind(kind.value), inst.h, inst.y, snr, counter)
             bench = (
                 benchmark(kind, n, n, repetitions=reps, seed=seed) if do_bench else None
             )
@@ -525,21 +512,20 @@ def cmd_flops(args, parser) -> int:
         for n_f in steps_list:
             pre_counter = FlopCounter()
             ws = precompute(inst.h, inst.y, pre_counter)
-            for mode in ("full-recompute", "incremental"):
-                counter = FlopCounter()
-                run(ws, b0, 1.0, n_f, counter=counter, count_mode=mode)
+            counter = FlopCounter()
+            run(ws, b0, 1.0, n_f, counter=counter)
+            bench = (
+                benchmark(CostKind.LAS, n, n, n_f=n_f, repetitions=reps, seed=seed)
+                if do_bench
+                else None
+            )
+            # the full-recompute row is priced by the per-step model, not measured
+            priced = (("full-recompute", full_recompute_step_flops(n) * n_f),
+                      ("incremental", counter))
+            for mode, measured in priced:
                 report = reconcile(
-                    CostKind.LAS,
-                    n,
-                    n,
-                    counter,
-                    n_f=n_f,
+                    CostKind.LAS, n, n, measured, n_f=n_f,
                     extra_note=f"workspace precompute (counted separately)={pre_counter.total}",
-                )
-                bench = (
-                    benchmark(CostKind.LAS, n, n, n_f=n_f, repetitions=reps, seed=seed)
-                    if do_bench
-                    else None
                 )
                 row = _flops_row(report, bench)
                 row["mode"] = mode

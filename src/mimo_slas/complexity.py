@@ -11,9 +11,9 @@ The ZF/MMSE quadratic terms assume nt == nr (the models collapse the exact
 cross terms -2*nt^2 - 2*nt*nr to -4*nt^2); instrumented counts from
 :mod:`mimo_slas.detectors` match the models exactly on square systems and
 stay within a few percent otherwise.  The LAS model prices a full gradient
-recomputation every step (see ``count_mode`` on :func:`mimo_slas.slas.run`);
-the default incremental implementation measures well below it, and
-:func:`reconcile` says so in its notes rather than hiding the gap.
+recomputation every step; :func:`mimo_slas.slas.run` updates the gradient
+incrementally and charges what it does, which measures well below the model,
+and :func:`reconcile` says so in its notes rather than hiding the gap.
 """
 
 from __future__ import annotations
@@ -191,6 +191,7 @@ def benchmark(
         raise ValueError(f"repetitions must be >= 5, got {repetitions}")
     if kind is CostKind.LAS and (n_f is None or n_f < 0):
         raise ValueError(f"benchmarking the search needs n_f >= 0, got {n_f}")
+    det = None if kind is CostKind.LAS else detectors.DetectorKind(kind.value)
     rng = np.random.default_rng(seed)
     snr = SnrSpec(snr_db)
     times = []
@@ -206,12 +207,7 @@ def benchmark(
             times.append(time.perf_counter() - t0)
         else:
             t0 = time.perf_counter()
-            if kind is CostKind.MF:
-                detectors.mf(inst.h, inst.y)
-            elif kind is CostKind.ZF:
-                detectors.zf(inst.h, inst.y)
-            else:
-                detectors.mmse(inst.h, inst.y, snr)
+            detectors.detect(det, inst.h, inst.y, snr)
             times.append(time.perf_counter() - t0)
     arr = np.array(times)
     return BenchmarkStats(

@@ -21,7 +21,9 @@ import numpy as np
 from .channel import SnrSpec
 from .linalg import FlopCounter, hermitian_solve, hermitian_transpose, mat_mul, mat_vec
 
-__all__ = ["DetectorKind", "SoftEstimate", "HardDecision", "mf", "zf", "mmse", "slice_bpsk"]
+__all__ = [
+    "DetectorKind", "SoftEstimate", "HardDecision", "mf", "zf", "mmse", "detect", "slice_bpsk",
+]
 
 
 class DetectorKind(str, enum.Enum):
@@ -96,6 +98,24 @@ def mmse(
     values = mat_vec(filt, y, local)
     _merge(counter, local)
     return SoftEstimate(values=values, detector_kind=DetectorKind.MMSE, flops_spent=local.total)
+
+
+def detect(
+    kind: DetectorKind, h: np.ndarray, y: np.ndarray, snr: SnrSpec,
+    counter: FlopCounter | None = None,
+) -> SoftEstimate:
+    """The linear detector ``kind`` applied to ``y`` (``snr`` is read by MMSE only).
+
+    Looks ``mf``/``zf``/``mmse`` up by module global name on every call, so a
+    wrapper installed on them after import sees every dispatched call.
+    """
+    if kind == DetectorKind.MF:
+        return mf(h, y, counter)
+    if kind == DetectorKind.ZF:
+        return zf(h, y, counter)
+    if kind == DetectorKind.MMSE:
+        return mmse(h, y, snr, counter)
+    raise ValueError(f"unknown detector: {kind!r}")
 
 
 def slice_bpsk(soft: SoftEstimate | np.ndarray) -> HardDecision:

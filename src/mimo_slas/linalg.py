@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 
-# Smallest pivot magnitude ``gauss_invert`` accepts by default.
+# Smallest pivot magnitude ``gauss_invert`` accepts.
 _PIVOT_TOL = 1e-12
 
 
@@ -63,7 +63,7 @@ class SingularMatrixError(ValueError):
         self.magnitude = magnitude
         super().__init__(
             f"matrix is numerically singular: pivot column {column} has "
-            f"magnitude {magnitude:.3e} < 1e-12 after partial pivoting"
+            f"magnitude {magnitude:.3e} < {_PIVOT_TOL:g} after partial pivoting"
         )
 
 
@@ -159,14 +159,12 @@ def mat_vec(a: np.ndarray, x: np.ndarray, counter: FlopCounter | None = None) ->
     return a @ x
 
 
-def gauss_invert(
-    a: np.ndarray, counter: FlopCounter | None = None, pivot_tol: float = _PIVOT_TOL
-) -> np.ndarray:
+def gauss_invert(a: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
     """Explicit inverse by Gauss-Jordan elimination with partial pivoting.
 
     Charges the lump cost ceil(2/3 * n^3).  Raises
     :class:`SingularMatrixError` naming the pivot column when the best
-    available pivot magnitude falls below ``pivot_tol``.
+    available pivot magnitude falls below ``_PIVOT_TOL``.
     """
     a = _as_matrix(a, "a")
     n, m = a.shape
@@ -176,7 +174,7 @@ def gauss_invert(
     for col in range(n):
         pivot_row = col + int(np.argmax(np.abs(aug[col:, col])))
         pivot_mag = float(np.abs(aug[pivot_row, col]))
-        if pivot_mag < pivot_tol:
+        if pivot_mag < _PIVOT_TOL:
             raise SingularMatrixError(col, pivot_mag)
         if pivot_row != col:
             aug[[col, pivot_row]] = aug[[pivot_row, col]]

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SnrSpec, assemble, sample_bpsk, sample_channel
-from .detectors import DetectorKind, mf, mmse, slice_bpsk, zf
+from .channel import ChannelInstance, SnrSpec, assemble, sample_bpsk, sample_channel
+from .detectors import DetectorKind, detect, slice_bpsk
 from .linalg import SingularMatrixError
 from .slas import SlasTrace, precompute, run
 
@@ -34,6 +34,8 @@ __all__ = [
     "BerPoint",
     "TraceAggregate",
     "trial_rng",
+    "check_snr_keys",
+    "draw",
     "trial",
     "run_point",
     "run_sweep",
@@ -132,6 +134,7 @@ class ExperimentConfig:
             raise ValueError(f"min_bit_errors must be >= 1, got {self.min_bit_errors}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+        check_snr_keys(self.snr_db)
         if self.grid_size() > MAX_GRID_POINTS:
             raise ValueError(
                 f"sweep grid has {self.grid_size()} points, "
@@ -197,6 +200,17 @@ def _encode_snr(snr_db: float) -> int:
     return (abs(milli) << 1) | (1 if milli < 0 else 0)
 
 
+def check_snr_keys(snr_list) -> None:
+    """Reject two different snr values with one (milli-dB) seed key: they
+    would silently draw the same channels."""
+    seen: dict[int, float] = {}
+    for snr_db in snr_list:
+        other = seen.setdefault(_encode_snr(snr_db), snr_db)
+        if other != snr_db:
+            raise ValueError(f"snr values {other!r} and {snr_db!r} dB share one seed key "
+                             f"(keys are milli-dB); keep them at least 0.001 dB apart")
+
+
 def trial_rng(
     master_seed: int, nt: int, nr: int, snr_db: float, trial_index: int
 ) -> np.random.Generator:
@@ -207,27 +221,28 @@ def trial_rng(
     return np.random.default_rng(seq)
 
 
+def draw(
+    master_seed: int, nt: int, nr: int, snr_db: float, trial_index: int
+) -> ChannelInstance:
+    """One trial's channel, payload, noise and observation, from its seed key."""
+    rng = trial_rng(master_seed, nt, nr, snr_db, trial_index)
+    snr = SnrSpec(snr_db)
+    h = sample_channel(nt, nr, rng)
+    b_true = sample_bpsk(nt, snr.es, rng)
+    return assemble(h, b_true, snr, rng)
+
+
 def trial(
     point: PointSpec, trial_index: int, record_trace: bool = False
 ) -> tuple[int, SlasTrace | None]:
     """Run one trial; returns (bit errors, optional search trace).
 
     Pure in (master_seed, trial_index) for fixed cell parameters.  When the
-    search runs at rho >= 1 the never-hurts property (final likelihood >=
-    initial likelihood) is asserted on every trial.
+    search runs at rho >= 1 the ascent property (the likelihood never drops
+    from one step to the next) is asserted on every trial.
     """
-    rng = trial_rng(point.master_seed, point.nt, point.nr, point.snr_db, trial_index)
-    snr = SnrSpec(point.snr_db)
-    h = sample_channel(point.nt, point.nr, rng)
-    b_true = sample_bpsk(point.nt, snr.es, rng)
-    inst = assemble(h, b_true, snr, rng)
-
-    if point.detector is DetectorKind.MF:
-        soft = mf(inst.h, inst.y)
-    elif point.detector is DetectorKind.ZF:
-        soft = zf(inst.h, inst.y)
-    else:
-        soft = mmse(inst.h, inst.y, snr)
+    inst = draw(point.master_seed, point.nt, point.nr, point.snr_db, trial_index)
+    soft = detect(point.detector, inst.h, inst.y, SnrSpec(point.snr_db))
     decision = slice_bpsk(soft)
 
     trace = None
@@ -237,12 +252,14 @@ def trial(
             ws, decision, point.rho, point.n_f, b_true=inst.b_true
         )
         if point.rho >= 1.0:
-            final = trace.likelihood[-1] if trace.steps_run else trace.initial_likelihood
-            if final < trace.initial_likelihood - 1e-9:
+            lam = np.concatenate(([trace.initial_likelihood], trace.likelihood))
+            dips = np.flatnonzero(np.diff(lam) < -1e-9)
+            if dips.size:
+                k = int(dips[0])
                 raise AssertionError(
                     f"likelihood decreased at rho={point.rho} "
-                    f"(seed={point.master_seed}, trial={trial_index}): "
-                    f"{trace.initial_likelihood} -> {final}"
+                    f"(seed={point.master_seed}, trial={trial_index}, step {k}): "
+                    f"{lam[k]} -> {lam[k + 1]}"
                 )
     errors = int(np.sum(decision.bits != inst.b_true))
     return errors, (trace if record_trace else None)
@@ -385,11 +402,3 @@ def run_trace(point: PointSpec, trials: int, n_jobs: int = 1) -> TraceAggregate:
         mean_likelihood=lams.mean(axis=0),
         mean_ber=errs.mean(axis=0) / point.nt,
     )
-
-
-def point_from_config(cfg: ExperimentConfig, **overrides) -> PointSpec:
-    """Convenience: a single cell from a one-point config."""
-    points = cfg.points()
-    if len(points) != 1:
-        raise ValueError(f"config describes {len(points)} cells, expected exactly 1")
-    return replace(points[0], **overrides) if overrides else points[0]

@@ -1,35 +1,35 @@
-"""Randomized property suite tying the search to its independent oracles.
+"""Randomized property suite that replays the search kernel behind every BER.
 
-Replays the sequential search step by step on small random systems and
-checks, per instance:
+Each instance runs :func:`mimo_slas.slas.run` at selectivity factor 1 and
+walks its trace with direct recomputation only (``gradient_full``,
+``likelihood``) up to the first full silent pass.  Checks per instance:
 
-* monotone    — the directly-recomputed likelihood never drops across an
-                accepted flip (selectivity factor 1),
+* monotone    — the recomputed likelihood never drops across a recorded flip,
 * improves    — the final likelihood is >= the initializer's,
-* fixed-point — after a full silent pass no single flip improves the
-                likelihood (local optimum),
-* gradient    — the incrementally-maintained gradient matches a full
-                recomputation to 1e-9 after every step,
-* ml-bound    — the final likelihood never exceeds the exhaustive
-                maximum-likelihood value.
+* fixed-point — a silent pass is reached, nothing flips after it, and no
+                single flip improves the final bits (local optimum),
+* gradient    — each recorded flip equals the threshold rule on the
+                recomputed gradient; recorded likelihoods and the final
+                incremental gradient match recomputation to 1e-9,
+* ml-bound    — the final likelihood never exceeds the exhaustive ML value.
 
-``inject_fault="grad-sign"`` deliberately applies the rank-one gradient
-update with the wrong sign inside the replay loop; the gradient and
-monotonicity checks must then fail and the runner must report nonzero
-failures (the CLI exits 1).  This keeps the suite itself testable.
+``inject_fault="grad-sign"`` runs the kernel on a workspace whose ``H_real``
+has the wrong sign, so its gradient and every rank-one update are wrong
+while the replay stays exact; the gradient check must then fail (the CLI
+exits 1).  This keeps the suite itself testable.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channel import SnrSpec, assemble, sample_bpsk, sample_channel
-from .detectors import DetectorKind, mf, mmse, slice_bpsk, zf
+from .detectors import DetectorKind, detect, slice_bpsk
 from .oracle import is_local_optimum, ml_bruteforce
-from .slas import SlasState, apply_flip, flip_decision, gradient_full, likelihood, precompute
+from .slas import gradient_full, likelihood, precompute, run
 
 __all__ = ["CheckCounts", "run_selfcheck", "CHECK_NAMES"]
 
@@ -56,15 +56,6 @@ class CheckCounts:
                 self.first_failure = instance
 
 
-def _apply_flip_wrong_sign(state: SlasState, ws, j: int) -> None:
-    # deliberate fault: rank-one update applied with the wrong sign
-    old = state.b[j]
-    state.likelihood += -2.0 * old * state.g[j] - 2.0 * ws.h_real[j, j]
-    state.g -= (2.0 * old) * ws.h_real[j]
-    state.b[j] = -old
-    state.flips += 1
-
-
 def _check_instance(
     instance: int, seed: int, fault: str | None, results: dict[str, CheckCounts]
 ) -> None:
@@ -76,53 +67,44 @@ def _check_instance(
     h = sample_channel(nt, nt, rng)
     b_true = sample_bpsk(nt, snr.es, rng)
     inst = assemble(h, b_true, snr, rng)
-    if det is DetectorKind.MF:
-        soft = mf(inst.h, inst.y)
-    elif det is DetectorKind.ZF:
-        soft = zf(inst.h, inst.y)
-    else:
-        soft = mmse(inst.h, inst.y, snr)
-    b0 = slice_bpsk(soft)
+    b0 = slice_bpsk(detect(det, inst.h, inst.y, snr))
 
     ws = precompute(inst.h, inst.y)
-    state = SlasState(
-        b=b0.bits.copy(),
-        g=gradient_full(ws, b0.bits),
-        rho=1.0,
-        likelihood=likelihood(ws, b0.bits),
-    )
-    initial = likelihood(ws, state.b)
+    kernel_ws = replace(ws, h_real=-ws.h_real) if fault == "grad-sign" else ws
+    _, trace = run(kernel_ws, b0, 1.0, 64 * nt)
 
-    monotone_ok = True
-    gradient_ok = True
+    b = b0.bits.copy()
+    initial = previous = likelihood(ws, b)
+    monotone_ok = gradient_ok = True
     silent = 0
-    converged = False
-    for step in range(64 * nt):
-        j = step % nt
-        if flip_decision(state, ws, j):
-            before = likelihood(ws, state.b)
-            if fault == "grad-sign":
-                _apply_flip_wrong_sign(state, ws, j)
-            else:
-                apply_flip(state, ws, j)
-            after = likelihood(ws, state.b)
-            if after < before - _TOL:
-                monotone_ok = False
-            silent = 0
-        else:
-            silent += 1
-        if np.max(np.abs(state.g - gradient_full(ws, state.b))) > _TOL:
-            gradient_ok = False
+    for k, fired in enumerate(trace.flipped):
+        j = k % nt
+        g = gradient_full(ws, b)
+        zeta = ws.zeta_base[j]
+        gradient_ok &= fired == (g[j] > zeta if b[j] == -1.0 else g[j] < -zeta)
+        if fired:
+            b[j] = -b[j]
+        current = likelihood(ws, b)
+        gradient_ok &= abs(trace.likelihood[k] - current) <= _TOL
+        monotone_ok &= current >= previous - _TOL
+        previous = current
+        silent = 0 if fired else silent + 1
         if silent >= nt:
-            converged = True
             break
+    converged = (
+        silent >= nt
+        and not trace.flipped[k + 1:].any()
+        and np.array_equal(b, trace.final_bits)
+    )
 
-    final = likelihood(ws, state.b)
+    final_bits = trace.final_bits
+    gradient_ok &= np.max(np.abs(trace.final_gradient - gradient_full(ws, final_bits))) <= _TOL
+    final = likelihood(ws, final_bits)
     ml = ml_bruteforce(ws)
     results["monotone"].record(monotone_ok, instance)
     results["improves"].record(final >= initial - _TOL, instance)
     results["fixed-point"].record(
-        converged and is_local_optimum(ws, state.b), instance
+        converged and is_local_optimum(ws, final_bits), instance
     )
     results["gradient"].record(gradient_ok, instance)
     results["ml-bound"].record(final <= ml.lambda_star + _TOL, instance)

@@ -25,15 +25,17 @@ On an accepted flip of bit j the likelihood changes by exactly
 ``-2*b_j*g_j - 2*(H_real)_jj`` (pre-flip values), which equals
 ``2*(|g_j| - zeta_j)`` whenever the flip rule fired; the gradient update is
 the rank-one correction ``g += 2*b_j*(H_real column j)`` using the pre-flip
-bit.  The run maintains both incrementally and exposes standalone
-``likelihood``/``gradient_full`` recomputations for verification.
+bit.  :func:`run` is the only implementation of the rule and of both
+incremental updates; the standalone ``likelihood``/``gradient_full``
+recomputations exist so that tests and :mod:`mimo_slas.selfcheck` can replay
+its trace step by step against direct evaluation.
 
 Antenna indices are 0-based everywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,13 +51,10 @@ from .linalg import (
 
 __all__ = [
     "SlasWorkspace",
-    "SlasState",
     "SlasTrace",
     "precompute",
     "likelihood",
     "gradient_full",
-    "flip_decision",
-    "apply_flip",
     "run",
     "full_recompute_step_flops",
 ]
@@ -76,26 +75,13 @@ class SlasWorkspace:
 
 
 @dataclass
-class SlasState:
-    """Mutable search state; ``antenna`` is the next index to visit (0-based)."""
-
-    b: np.ndarray
-    g: np.ndarray
-    rho: float
-    step: int = 0
-    antenna: int = 0
-    flips: int = 0
-    likelihood: float = 0.0
-
-
-@dataclass
 class SlasTrace:
     """Per-step record of a search plus entry/exit summaries.
 
     ``antenna[k]``, ``likelihood[k]``, ``flipped[k]`` describe the state
     after step k (0-based); ``bit_errors`` is populated only when the true
-    payload was supplied.  ``steps_run == n_f`` unless the early-exit flag
-    stopped the run after a full silent pass.
+    payload was supplied.  ``steps_run`` is always ``n_f``.
+    ``final_gradient`` is the incrementally maintained gradient at exit.
     """
 
     antenna: np.ndarray
@@ -108,6 +94,7 @@ class SlasTrace:
     flips: int
     steps_run: int
     converged: bool
+    final_gradient: np.ndarray
 
 
 def precompute(
@@ -143,27 +130,6 @@ def gradient_full(
     return ws.y_eff - ws.h_real @ b
 
 
-def flip_decision(state: SlasState, ws: SlasWorkspace, j: int) -> bool:
-    """Strict threshold test at antenna j using the current gradient."""
-    threshold = state.rho * ws.zeta_base[j]
-    if state.b[j] == -1.0:
-        return state.g[j] > threshold
-    return state.g[j] < -threshold
-
-
-def apply_flip(state: SlasState, ws: SlasWorkspace, j: int) -> SlasState:
-    """Flip bit j in place: rank-one gradient update with the pre-flip bit.
-
-    Applying the same flip twice restores both ``b`` and ``g``.
-    """
-    old = state.b[j]
-    state.likelihood += -2.0 * old * state.g[j] - 2.0 * ws.h_real[j, j]
-    state.g += (2.0 * old) * ws.h_real[j]
-    state.b[j] = -old
-    state.flips += 1
-    return state
-
-
 def full_recompute_step_flops(nt: int) -> int:
     """Model cost of one step if the gradient were recomputed from scratch
     at complex rates: one mat-vec (8*nt^2 - 2*nt) plus one vector
@@ -179,30 +145,18 @@ def run(
     n_f: int,
     b_true: np.ndarray | None = None,
     counter: FlopCounter | None = None,
-    *,
-    count_mode: str = "incremental",
-    double_rho: bool = False,
-    stop_after_silent_pass: bool = False,
 ) -> tuple[HardDecision, SlasTrace]:
     """Run n_f sequential steps from the initial decision ``b0``.
 
     Args:
         ws: precomputed workspace.
         b0: initial hard decision (the linear detector's output).
-        rho: selectivity factor; applied once to the base threshold.
-            ``double_rho=True`` opts into comparing against rho^2 * zeta
-            instead (an alternative literal reading of the flip rule).
+        rho: selectivity factor; the threshold is rho * zeta.
         n_f: number of steps (antenna visits); 0 is allowed.
         b_true: optional true payload (+-1); enables bit-error tracking.
-        counter: optional flop counter.
-        count_mode: "incremental" charges what the code actually does
-            (initial gradient 2*nt^2, threshold setup nt, and 2*nt + 1 per
-            accepted flip).  "full-recompute" instead charges the model cost
-            of recomputing the gradient every step, exactly 8*nt^2 per step,
-            matching the closed-form search cost model.
-        stop_after_silent_pass: stop early once a full circular pass makes
-            no flips (diagnostic mode; default off, never changes default
-            outputs).
+        counter: optional flop counter, charged what the run does: the
+            initial gradient 2*nt^2, the thresholds nt, and 2*nt + 1 per
+            accepted flip.
 
     Returns:
         (final hard decision, trace).
@@ -211,8 +165,6 @@ def run(
         raise ValueError(f"n_f must be >= 0, got {n_f}")
     if rho < 0:
         raise ValueError(f"rho must be >= 0, got {rho}")
-    if count_mode not in ("incremental", "full-recompute"):
-        raise ValueError(f"unknown count_mode: {count_mode!r}")
     nt = ws.nt
     b = np.asarray(b0.bits, dtype=np.float64).copy()
     if b.shape != (nt,):
@@ -220,8 +172,7 @@ def run(
 
     g = ws.y_eff - ws.h_real @ b
     lam = 0.5 * float(b @ ws.y_eff + b @ g)
-    eff_rho = rho * rho if double_rho else rho
-    thresholds = eff_rho * ws.zeta_base
+    thresholds = rho * ws.zeta_base
 
     err: int | None = None
     truth: np.ndarray | None = None
@@ -239,7 +190,6 @@ def run(
     initial_err = err
     flips = 0
     silent = 0
-    steps_run = 0
     for k in range(n_f):
         j = k % nt
         bj = b[j]
@@ -260,26 +210,11 @@ def run(
         flipped[k] = fire
         if errors is not None:
             errors[k] = err
-        steps_run += 1
-        if stop_after_silent_pass and silent >= nt:
-            break
-
-    if steps_run < n_f:
-        antenna = antenna[:steps_run]
-        lik = lik[:steps_run]
-        flipped = flipped[:steps_run]
-        if errors is not None:
-            errors = errors[:steps_run]
 
     if counter is not None:
-        if count_mode == "incremental":
-            counter.charge(additions=nt * nt, multiplications=nt * nt)  # initial gradient
-            counter.charge(multiplications=nt)  # thresholds rho * zeta
-            counter.charge(additions=flips * nt, multiplications=flips * (nt + 1))
-        else:
-            per_step = full_recompute_step_flops(nt)
-            counter.charge(multiplications=6 * nt * nt * steps_run)
-            counter.charge(additions=(per_step - 6 * nt * nt) * steps_run)
+        counter.charge(additions=nt * nt, multiplications=nt * nt)  # initial gradient
+        counter.charge(multiplications=nt)  # thresholds rho * zeta
+        counter.charge(additions=flips * nt, multiplications=flips * (nt + 1))
 
     trace = SlasTrace(
         antenna=antenna,
@@ -290,7 +225,8 @@ def run(
         initial_likelihood=initial_lam,
         initial_bit_errors=initial_err,
         flips=flips,
-        steps_run=steps_run,
+        steps_run=n_f,
         converged=silent >= nt,
+        final_gradient=g,
     )
     return HardDecision(bits=b), trace

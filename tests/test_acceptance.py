@@ -47,9 +47,13 @@ def _point(nt, nr, snr_db, detector, las, rho, n_f, max_trials, seed=SEED):
 
 
 def test_criterion_01_oracle_suite_zero_failures(capsys):
-    """1000 random instances, nt in {2,4,8}, snr in {0,10,20} dB: monotone
-    ascent, improvement over the initializer, fixed-point local optimality,
-    incremental-gradient consistency (1e-9), and the exhaustive ML bound."""
+    """1000 random instances, nt in {2,4,8}, snr in {0,10,20} dB.  Each runs
+    the production kernel ``slas.run`` and replays its trace, up to the first
+    silent pass, against directly recomputed gradients and likelihoods:
+    monotone ascent, improvement over the initializer, fixed-point local
+    optimality with no flip after the silent pass, flip decisions, likelihoods
+    and the final incremental gradient consistent to 1e-9, and the exhaustive
+    ML bound."""
     rc = run_selfcheck(seed=SEED, instances=1000)
     out = capsys.readouterr().out
     print(out)

@@ -318,7 +318,24 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc_info:
             main(["ber-antennas", "--n-list", "1.7,2"])
         assert exc_info.value.code == 2
-        assert "1.7,2" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "1.7,2" in err
+        assert "expected integers, got 1.7" in err
+
+    def test_rejected_range_names_its_reason(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["ber-snr", "--snr-list", "0:0:10"])
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "range step must be positive" in err
+        assert "invalid" not in err
+
+    @pytest.mark.parametrize("command", ["ber-snr", "trace"])
+    def test_snr_values_sharing_a_seed_key_exit_2(self, command, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main([command, "--nt", "2", "--nr", "2", "--snr-list", "10,10.0004"])
+        assert exc_info.value.code == 2
+        assert "share one seed key" in capsys.readouterr().err
 
 
 def test_presets_cover_every_figure_family():

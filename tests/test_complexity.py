@@ -14,7 +14,7 @@ from mimo_slas.complexity import (
 )
 from mimo_slas.detectors import mf, mmse, slice_bpsk, zf
 from mimo_slas.linalg import FlopCounter
-from mimo_slas.slas import precompute, run
+from mimo_slas.slas import full_recompute_step_flops, precompute, run
 
 # matched filter at nt == nr, from 8*n^2 - 2*n
 MF_SQUARE_TABLE = {1: 6, 2: 28, 16: 2016, 64: 32640, 256: 523776}
@@ -87,13 +87,9 @@ def test_zf_reconciles_within_tolerance_on_tall_systems():
 
 
 def test_search_reconciles_exactly_in_full_recompute_mode():
+    # the flops table's full-recompute row: the per-step model times n_f
     nt = 32
-    inst = _instance(nt, nt, 4)
-    ws = precompute(inst.h, inst.y)
-    b0 = slice_bpsk(mf(inst.h, inst.y))
-    counter = FlopCounter()
-    run(ws, b0, rho=1.0, n_f=96, counter=counter, count_mode="full-recompute")
-    report = reconcile(CostKind.LAS, nt, nt, counter, n_f=96)
+    report = reconcile(CostKind.LAS, nt, nt, full_recompute_step_flops(nt) * 96, n_f=96)
     assert report.verdict == "EXACT"
     assert report.measured_flops == 786432
 
@@ -104,7 +100,7 @@ def test_search_incremental_mode_reports_divergence_with_note():
     ws = precompute(inst.h, inst.y)
     b0 = slice_bpsk(mf(inst.h, inst.y))
     counter = FlopCounter()
-    run(ws, b0, rho=1.0, n_f=96, counter=counter, count_mode="incremental")
+    run(ws, b0, rho=1.0, n_f=96, counter=counter)
     report = reconcile(CostKind.LAS, nt, nt, counter, n_f=96)
     assert report.verdict == "DIVERGENT"
     assert report.measured_flops < report.model_flops

@@ -1,16 +1,20 @@
 """Monte-Carlo harness tests: seed discipline, worker-count invariance,
 stopping behavior, and the sweep grid."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from mimo_slas.detectors import DetectorKind
+from mimo_slas import montecarlo
+from mimo_slas.detectors import DetectorKind, mf, slice_bpsk
 from mimo_slas.montecarlo import (
     MAX_GRID_POINTS,
     BerPoint,
     ExperimentConfig,
     PointSpec,
-    point_from_config,
+    check_snr_keys,
+    draw,
     run_point,
     run_sweep,
     run_trace,
@@ -67,6 +71,24 @@ class TestTrialRng:
         with pytest.raises(ValueError):
             trial_rng(0, 4, 4, -np.inf, 0)
 
+    def test_snr_values_sharing_a_key_are_rejected(self):
+        with pytest.raises(ValueError, match="share one seed key"):
+            check_snr_keys([10.0, 10.0004])
+        with pytest.raises(ValueError, match="share one seed key"):
+            ExperimentConfig(nt=4, nr=4, snr_db=[0.0, 10.0, 10.0004])
+        check_snr_keys([10.0, 10.0, 10.001, -10.0])  # repeats and distinct keys pass
+
+
+class TestDraw:
+    def test_draw_is_the_trial_input(self):
+        p = _point(las_enabled=False)
+        for idx in range(5):
+            inst = draw(p.master_seed, p.nt, p.nr, p.snr_db, idx)
+            again = draw(p.master_seed, p.nt, p.nr, p.snr_db, idx)
+            np.testing.assert_array_equal(inst.y, again.y)
+            bits = slice_bpsk(mf(inst.h, inst.y)).bits
+            assert trial(p, idx)[0] == int(np.sum(bits != inst.b_true))
+
 
 class TestTrial:
     def test_pure_in_index(self):
@@ -92,6 +114,20 @@ class TestTrial:
             _, tr = trial(p_las, idx, record_trace=True)
             lin_errors, _ = trial(p_lin, idx)
             assert tr.initial_bit_errors == lin_errors
+
+    def test_likelihood_dip_inside_a_run_is_caught(self, monkeypatch):
+        # a kernel whose likelihood drops and recovers keeps final >= initial
+        real_run = montecarlo.run
+
+        def dipping_run(*args, **kwargs):
+            decision, trace = real_run(*args, **kwargs)
+            lam = trace.likelihood.copy()
+            lam[len(lam) // 2] = trace.initial_likelihood - 100.0
+            return decision, replace(trace, likelihood=lam)
+
+        monkeypatch.setattr(montecarlo, "run", dipping_run)
+        with pytest.raises(AssertionError, match="likelihood decreased"):
+            trial(_point(), 0)
 
     def test_zero_steps_equals_search_off(self):
         p_zero = _point(n_f=0)
@@ -243,17 +279,3 @@ class TestRunTrace:
     def test_requires_positive_trials(self):
         with pytest.raises(ValueError):
             run_trace(_point(), trials=0)
-
-
-def test_point_from_config_single_cell():
-    cfg = ExperimentConfig(nt=4, nr=4, snr_db=10.0, max_trials=5, min_bit_errors=1)
-    p = point_from_config(cfg)
-    assert p.nt == 4 and p.snr_db == 10.0
-    p2 = point_from_config(cfg, n_f=7)
-    assert p2.n_f == 7
-
-
-def test_point_from_config_rejects_grids():
-    cfg = ExperimentConfig(nt=4, nr=4, snr_db=[0.0, 10.0])
-    with pytest.raises(ValueError):
-        point_from_config(cfg)
