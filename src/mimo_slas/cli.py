@@ -19,8 +19,10 @@ Shared conventions:
 * ``--config FILE`` reads a JSON object with experiment-config keys
   (nt, nr, snr_db, rho, detector, las_enabled, n_f, max_trials,
   min_bit_errors, master_seed); explicit flags and presets override it.
-* List-valued flags accept ``a,b,c`` and inclusive ranges ``start:step:stop``.
-* ``--jobs N`` parallelizes trials without changing any output byte.
+* List-valued flags accept ``a,b,c`` and inclusive ranges ``start:step:stop``;
+  ``--snr-list -10:5:0`` may be written with a space or with ``=``.
+* ``--jobs N`` parallelizes trials without changing any output byte; N must
+  be positive and is capped at the CPU count.
 * Output is CSV (with a ``# schema_version=1`` comment line) to ``--out`` or
   stdout; ``--format json`` mirrors the same rows as a JSON document.
 
@@ -34,6 +36,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 
 from .channel import SnrSpec
@@ -187,6 +190,25 @@ def _float_list(text: str) -> list[float]:
     return _list_arg(text, float)
 
 
+def _jobs(text: str) -> int:
+    """A positive worker count, capped at the machine's CPU count."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return min(int(text), os.cpu_count() or 1)
+
+
+def _attach_negative_lists(argv: list[str]) -> list[str]:
+    """``--snr-list -10:5:0`` -> ``--snr-list=-10:5:0``, which argparse would
+    otherwise read as an option."""
+    out: list[str] = []
+    for token in argv:
+        if out[-1:] == ["--snr-list"] and re.match(r"-[\d.]", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def _detectors(choice: str) -> tuple[DetectorKind, ...]:
     if choice == "all":
         return (DetectorKind.MF, DetectorKind.ZF, DetectorKind.MMSE)
@@ -222,6 +244,7 @@ def _load_config(path: str | None) -> dict:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must contain a JSON object")
+    ExperimentConfig.check_keys(data)
     return data
 
 
@@ -323,7 +346,8 @@ def _ber_rows(experiment: str, results) -> list[dict]:
 
 def _add_common(sub, trials_flag=True):
     sub.add_argument("--seed", type=int, default=None, help="master seed")
-    sub.add_argument("--jobs", type=int, default=1, help="worker processes")
+    sub.add_argument("--jobs", type=_jobs, default=1,
+                     help="worker processes (at most the CPU count)")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument("--format", choices=["csv", "json"], default="csv")
     sub.add_argument("--config", default=None, help="JSON experiment config")
@@ -614,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_lists(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args, parser)
     except (ValueError, OSError) as exc:

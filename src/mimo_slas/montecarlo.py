@@ -18,8 +18,9 @@ exhausts the cap below the error floor is flagged, not hidden.
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -45,6 +46,9 @@ __all__ = [
 
 MAX_GRID_POINTS = 10_000
 _CHUNK = 512
+# One trial's shared stages, {key: (instance, linear decision, workspace)}:
+# at most one entry, emptied at the end of every chunk.
+_SHARED: dict = {}
 
 
 @dataclass(frozen=True)
@@ -170,23 +174,16 @@ class ExperimentConfig:
         return out
 
     @classmethod
-    def from_mapping(cls, data: dict) -> "ExperimentConfig":
-        """Build from a JSON-style mapping; scalar axes are accepted."""
-        known = {
-            "nt",
-            "nr",
-            "snr_db",
-            "rho",
-            "detector",
-            "las_enabled",
-            "n_f",
-            "max_trials",
-            "min_bit_errors",
-            "master_seed",
-        }
-        unknown = set(data) - known
+    def check_keys(cls, data: dict) -> None:
+        """Reject mapping keys that are not config fields (``--config`` files)."""
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+
+    @classmethod
+    def from_mapping(cls, data: dict) -> "ExperimentConfig":
+        """Build from a JSON-style mapping; scalar axes are accepted."""
+        cls.check_keys(data)
         return cls(**data)
 
 
@@ -240,14 +237,24 @@ def trial(
     Pure in (master_seed, trial_index) for fixed cell parameters.  When the
     search runs at rho >= 1 the ascent property (the likelihood never drops
     from one step to the next) is asserted on every trial.
+
+    The draw, detection, slicing and workspace do not depend on rho or n_f;
+    they are kept for the last trial key seen, so cells that differ only in
+    rho compute them once per trial index.  None of them is ever mutated.
     """
-    inst = draw(point.master_seed, point.nt, point.nr, point.snr_db, trial_index)
-    soft = detect(point.detector, inst.h, inst.y, SnrSpec(point.snr_db))
-    decision = slice_bpsk(soft)
+    key = (point.master_seed, point.nt, point.nr, point.snr_db, point.detector,
+           point.las_enabled, trial_index)
+    shared = _SHARED.get(key)
+    if shared is None:
+        _SHARED.clear()  # drop the previous trial's inputs before drawing new ones
+        inst = draw(point.master_seed, point.nt, point.nr, point.snr_db, trial_index)
+        soft = detect(point.detector, inst.h, inst.y, SnrSpec(point.snr_db))
+        ws = precompute(inst.h, inst.y) if point.las_enabled else None
+        shared = _SHARED[key] = (inst, slice_bpsk(soft), ws)
+    inst, decision, ws = shared
 
     trace = None
     if point.las_enabled:
-        ws = precompute(inst.h, inst.y)
         decision, trace = run(
             ws, decision, point.rho, point.n_f, b_true=inst.b_true
         )
@@ -261,18 +268,24 @@ def trial(
                     f"(seed={point.master_seed}, trial={trial_index}, step {k}): "
                     f"{lam[k]} -> {lam[k + 1]}"
                 )
-    errors = int(np.sum(decision.bits != inst.b_true))
+    errors = int(np.count_nonzero(decision.bits != inst.b_true))
     return errors, (trace if record_trace else None)
 
 
-def _ber_chunk(point: PointSpec, start: int, stop: int) -> np.ndarray:
-    """Per-trial error counts for [start, stop); -1 marks an aborted trial."""
-    out = np.empty(stop - start, dtype=np.int64)
-    for i in range(start, stop):
-        try:
-            out[i - start] = trial(point, i)[0]
-        except SingularMatrixError:
-            out[i - start] = -1
+def _ber_chunk(points: list[PointSpec], start: int, stop: int) -> np.ndarray:
+    """Error counts of each cell (rows) for trials [start, stop) (columns),
+    index-major so that the cells share each trial's inputs; -1 marks an
+    aborted trial."""
+    out = np.empty((len(points), stop - start), dtype=np.int64)
+    try:
+        for i in range(start, stop):
+            for row, point in enumerate(points):
+                try:
+                    out[row, i - start] = trial(point, i)[0]
+                except SingularMatrixError:
+                    out[row, i - start] = -1
+    finally:
+        _SHARED.clear()
     return out
 
 
@@ -292,92 +305,88 @@ def _scan(counts, state):
     return False
 
 
-def run_point(
-    point: PointSpec, n_jobs: int = 1, _executor: ProcessPoolExecutor | None = None
-) -> BerPoint:
+def _finish(point: PointSpec, state: dict) -> BerPoint:
+    trials, aborted, errors = state["trials"], state["aborted"], state["errors"]
+    bits = (trials - aborted) * point.nt
+    return BerPoint(point=point, trials_run=trials, bits_sent=bits, bit_errors=errors,
+                    ber=errors / bits if bits else math.nan, aborted_trials=aborted,
+                    flagged=errors < point.min_bit_errors or aborted > 0)
+
+
+def _run_cells(points: list[PointSpec], n_jobs: int) -> list[BerPoint]:
+    """Run cells to their stopping conditions; results in the given order.
+
+    Cells that differ only in rho form a group and share fixed-size chunks of
+    trial indices.  Each chunk lists the group's cells still active when it
+    was submitted; up to ``n_jobs`` chunks are in flight on the pool (one,
+    computed at once, without it).  Every cell scans its own row in index
+    order and leaves the group when its stop fires, so it stops on the same
+    trial at any worker count and in any group.
+    """
+    groups: dict[PointSpec, list[int]] = {}
+    for index, point in enumerate(points):
+        groups.setdefault(replace(point, rho=0.0), []).append(index)
+    states = [{"errors": 0, "aborted": 0, "trials": 0, "floor": p.min_bit_errors}
+              for p in points]
+    executor = ProcessPoolExecutor(max_workers=n_jobs) if n_jobs > 1 else None
+    try:
+        for active in groups.values():
+            max_trials = points[active[0]].max_trials
+            starts = iter(range(0, max_trials, _CHUNK))
+            pending: deque = deque()  # (cells, counts or future), in chunk order
+            while True:
+                while (active and len(pending) < max(n_jobs, 1)
+                       and (start := next(starts, None)) is not None):
+                    cells = tuple(active)
+                    args = ([points[c] for c in cells], start, min(start + _CHUNK, max_trials))
+                    pending.append((cells, _ber_chunk(*args) if executor is None
+                                    else executor.submit(_ber_chunk, *args)))
+                if not active or not pending:
+                    break
+                cells, counts = pending.popleft()
+                counts = counts if executor is None else counts.result()
+                for row, c in zip(counts, cells):
+                    if c in active and _scan(row, states[c]):
+                        active.remove(c)
+            for _, future in pending:
+                future.cancel()
+    finally:
+        if executor is not None:
+            executor.shutdown(wait=False, cancel_futures=True)
+    return [_finish(p, state) for p, state in zip(points, states)]
+
+
+def run_point(point: PointSpec, n_jobs: int = 1) -> BerPoint:
     """Run one cell to its stopping condition.
 
     ``n_jobs > 1`` distributes fixed-size trial chunks over processes; the
     chunk boundaries and the index-ordered stop scan are the same at every
     worker count, so the aggregate is identical to the sequential run.
     """
-    state = {"errors": 0, "aborted": 0, "trials": 0, "floor": point.min_bit_errors}
-    starts = list(range(0, point.max_trials, _CHUNK))
-
-    def finish() -> BerPoint:
-        trials_run = state["trials"]
-        counted = trials_run - state["aborted"]
-        bits = counted * point.nt
-        errors = state["errors"]
-        ber = errors / bits if bits else math.nan
-        flagged = errors < point.min_bit_errors or state["aborted"] > 0
-        return BerPoint(
-            point=point,
-            trials_run=trials_run,
-            bits_sent=bits,
-            bit_errors=errors,
-            ber=ber,
-            flagged=flagged,
-            aborted_trials=state["aborted"],
-        )
-
-    if n_jobs <= 1:
-        for start in starts:
-            counts = _ber_chunk(point, start, min(start + _CHUNK, point.max_trials))
-            if _scan(counts, state):
-                break
-        return finish()
-
-    own_executor = _executor is None
-    executor = _executor or ProcessPoolExecutor(max_workers=n_jobs)
-    try:
-        pending: dict[int, object] = {}
-        next_submit = 0
-
-        def top_up():
-            nonlocal next_submit
-            while len(pending) < n_jobs and next_submit < len(starts):
-                s = starts[next_submit]
-                pending[next_submit] = executor.submit(
-                    _ber_chunk, point, s, min(s + _CHUNK, point.max_trials)
-                )
-                next_submit += 1
-
-        top_up()
-        for idx in range(len(starts)):
-            if idx not in pending:
-                break
-            counts = pending.pop(idx).result()
-            stopped = _scan(counts, state)
-            if stopped:
-                for fut in pending.values():
-                    fut.cancel()
-                break
-            top_up()
-        return finish()
-    finally:
-        if own_executor:
-            executor.shutdown(wait=False, cancel_futures=True)
+    return _run_cells([point], n_jobs)[0]
 
 
 def run_sweep(cfg: ExperimentConfig, n_jobs: int = 1) -> list[BerPoint]:
-    """Run every cell of the sweep grid, in grid order."""
-    points = cfg.points()
-    if n_jobs <= 1:
-        return [run_point(p) for p in points]
-    with ProcessPoolExecutor(max_workers=n_jobs) as executor:
-        return [run_point(p, n_jobs=n_jobs, _executor=executor) for p in points]
+    """Run every cell of the sweep grid, in grid order.
+
+    Cells that differ only in rho run as one group over shared trials (see
+    :func:`trial`); each result equals that of :func:`run_point` on its cell.
+    """
+    return _run_cells(cfg.points(), n_jobs)
 
 
 def _trace_chunk(point: PointSpec, start: int, stop: int):
     lams = np.empty((stop - start, point.n_f + 1), dtype=np.float64)
     errs = np.empty((stop - start, point.n_f + 1), dtype=np.int64)
-    for i in range(start, stop):
-        _, tr = trial(point, i, record_trace=True)
-        lams[i - start, 0] = tr.initial_likelihood
-        lams[i - start, 1:] = tr.likelihood
-        errs[i - start, 0] = tr.initial_bit_errors
-        errs[i - start, 1:] = tr.bit_errors
+    try:
+        for i in range(start, stop):
+            _, tr = trial(point, i, record_trace=True)
+            lams[i - start, 0] = tr.initial_likelihood
+            lams[i - start, 1:] = tr.likelihood
+            errs[i - start, 0] = tr.initial_bit_errors
+            errs[i - start, 1:] = tr.bit_errors
+    finally:
+        _SHARED.clear()
     return lams, errs
 
 

@@ -16,7 +16,7 @@ monotonicity for a lower error floor.
 Workspace quantities (real-valued reduction of the complex model):
 
 * ``y_eff   = 2 * Re(H^H y)``  (elementwise equal to ``H^H y + conj(H^H y)``),
-* ``H_eff   = H^H H``,
+* ``H_eff   = H^H H`` (formed by :func:`precompute`, not kept),
 * ``H_real  = 2 * Re(H_eff)``,
 * likelihood ``L(b) = b^T y_eff - b^T Re(H_eff) b``,
 * gradient   ``g(b) = y_eff - H_real b``.
@@ -65,7 +65,6 @@ class SlasWorkspace:
     """Receiver-side quantities shared by every step of a search."""
 
     y_eff: np.ndarray    # (nt,) real
-    h_eff: np.ndarray    # (nt, nt) complex, Hermitian
     h_real: np.ndarray   # (nt, nt) real, symmetric
     zeta_base: np.ndarray  # (nt,) real, |diag(h_real)|
 
@@ -109,7 +108,7 @@ def precompute(
     y_eff = 2.0 * hy.real
     h_real = real_part_scaled(h_eff, 2.0, counter)
     zeta_base = np.abs(np.diag(h_real))
-    return SlasWorkspace(y_eff=y_eff, h_eff=h_eff, h_real=h_real, zeta_base=zeta_base)
+    return SlasWorkspace(y_eff=y_eff, h_real=h_real, zeta_base=zeta_base)
 
 
 def likelihood(ws: SlasWorkspace, b: np.ndarray) -> float:
@@ -172,44 +171,47 @@ def run(
 
     g = ws.y_eff - ws.h_real @ b
     lam = 0.5 * float(b @ ws.y_eff + b @ g)
-    thresholds = rho * ws.zeta_base
+    thresholds = (rho * ws.zeta_base).tolist()
 
     err: int | None = None
-    truth: np.ndarray | None = None
+    truth: list | None = None
     if b_true is not None:
-        truth = np.asarray(b_true, dtype=np.float64)
-        err = int(np.sum(b != truth))
+        truth_array = np.asarray(b_true, dtype=np.float64)
+        err = int(np.count_nonzero(b != truth_array))
+        truth = truth_array.tolist()
 
-    antenna = np.empty(n_f, dtype=np.int32)
-    lik = np.empty(n_f, dtype=np.float64)
-    flipped = np.empty(n_f, dtype=bool)
-    errors = np.empty(n_f, dtype=np.int32) if err is not None else None
-
+    # The loop steps on Python floats: the same IEEE operations, in the same
+    # order, as on numpy scalars, at a fraction of the per-step overhead.
+    # The likelihood and error count change only on a flip, so only flips
+    # are recorded; the per-step arrays are expanded from them at the end.
     h_real = ws.h_real
+    diag = h_real.diagonal().tolist()
+    bits = b.tolist()
+    grad = g.tolist()
     initial_lam = lam
     initial_err = err
-    flips = 0
-    silent = 0
+    flip_steps: list[int] = []
+    lams = [lam]
+    errs = [err]
     for k in range(n_f):
         j = k % nt
-        bj = b[j]
-        gj = g[j]
-        fire = gj > thresholds[j] if bj == -1.0 else gj < -thresholds[j]
-        if fire:
-            lam += -2.0 * bj * gj - 2.0 * h_real[j, j]
+        bj = bits[j]
+        gj = grad[j]
+        if gj > thresholds[j] if bj == -1.0 else gj < -thresholds[j]:
+            lam += -2.0 * bj * gj - 2.0 * diag[j]
             g += (2.0 * bj) * h_real[j]
-            b[j] = -bj
-            flips += 1
-            silent = 0
+            grad = g.tolist()
+            bits[j] = b[j] = -bj
             if err is not None:
-                err += 1 if b[j] != truth[j] else -1
-        else:
-            silent += 1
-        antenna[k] = j
-        lik[k] = lam
-        flipped[k] = fire
-        if errors is not None:
-            errors[k] = err
+                err += 1 if -bj != truth[j] else -1
+            flip_steps.append(k)
+            lams.append(lam)
+            errs.append(err)
+    flips = len(flip_steps)
+    silent = n_f - flip_steps[-1] - 1 if flips else n_f  # steps since the last flip
+    flipped = np.zeros(n_f, dtype=bool)
+    flipped[flip_steps] = True
+    done = flipped.cumsum()  # flips up to and including each step
 
     if counter is not None:
         counter.charge(additions=nt * nt, multiplications=nt * nt)  # initial gradient
@@ -217,10 +219,10 @@ def run(
         counter.charge(additions=flips * nt, multiplications=flips * (nt + 1))
 
     trace = SlasTrace(
-        antenna=antenna,
-        likelihood=lik,
+        antenna=np.arange(n_f, dtype=np.int32) % nt,
+        likelihood=np.array(lams, dtype=np.float64)[done],
         flipped=flipped,
-        bit_errors=errors,
+        bit_errors=None if err is None else np.array(errs, dtype=np.int32)[done],
         final_bits=b,
         initial_likelihood=initial_lam,
         initial_bit_errors=initial_err,

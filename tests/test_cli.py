@@ -8,12 +8,16 @@ byte-determinism end to end.
 import csv
 import io
 import json
+import os
 import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from mimo_slas import cli
+from mimo_slas.montecarlo import TraceAggregate
 from mimo_slas.cli import (
     BER_COLUMNS,
     FLOPS_COLUMNS,
@@ -227,6 +231,17 @@ class TestConfigFile:
                       capsys)
         assert _parse_csv(out)[0]["nt"] == "4"
 
+    def test_unknown_config_key_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"nt": 2, "nr": 2, "bogus": 1, "max_trials": 5}))
+        with pytest.raises(SystemExit) as exc_info:
+            main(["ber-snr", "--config", str(cfg), "--snr-list", "10",
+                  "--detector", "mf", "--las", "off"])
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "bogus" in captured.err
+        assert captured.out == ""
+
     def test_missing_config_file_exits_2(self):
         with pytest.raises(SystemExit) as exc_info:
             main(["ber-snr", "--config", "/nonexistent/cfg.json"])
@@ -336,6 +351,60 @@ class TestUsageErrors:
             main([command, "--nt", "2", "--nr", "2", "--snr-list", "10,10.0004"])
         assert exc_info.value.code == 2
         assert "share one seed key" in capsys.readouterr().err
+
+
+NEGATIVE_SNR_COMMANDS = {
+    "ber-snr": ["ber-snr", "--nt", "2", "--nr", "2", "--detector", "mf", "--las", "on",
+                "--trials", "20", "--min-errors", "1000000000", "--seed", "3"],
+    "ber-rho": ["ber-rho", "--n-list", "2", "--rho-list", "0.9,1", "--steps", "4",
+                "--trials", "20", "--min-errors", "1000000000", "--seed", "3"],
+    "trace": ["trace", "--nt", "2", "--nr", "2", "--steps", "4", "--trials", "4",
+              "--seed", "3"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(NEGATIVE_SNR_COMMANDS))
+def test_negative_snr_list_works_as_written(command, capsys):
+    argv = NEGATIVE_SNR_COMMANDS[command]
+    _, joined = _run(argv + ["--snr-list=-10:5:0"], capsys)
+    _, spaced = _run(argv + ["--snr-list", "-10:5:0"], capsys)
+    assert spaced == joined
+    assert {r["snr_db"] for r in _parse_csv(spaced)} == {"-10", "-5", "0"}
+
+
+class TestJobs:
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_jobs_exit_2(self, value, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["ber-snr", *TINY, "--jobs", value])
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--jobs" in err
+        assert f"expected a positive integer, got '{value}'" in err
+
+    def test_jobs_are_capped_at_the_cpu_count(self, monkeypatch, capsys):
+        # the sweeps are replaced, so no worker process is started
+        seen = []
+
+        def sweep(cfg, n_jobs=1):
+            seen.append(("sweep", n_jobs))
+            return []
+
+        def trace(point, trials, n_jobs=1):
+            seen.append(("trace", n_jobs))
+            flat = np.zeros(point.n_f + 1)
+            return TraceAggregate(point, trials, flat, flat)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(cli, "run_sweep", sweep)
+        monkeypatch.setattr(cli, "run_trace", trace)
+        main(["ber-snr", *TINY, "--jobs", "5"])
+        main(["ber-snr", *TINY, "--jobs", "2"])
+        main(["trace", "--nt", "2", "--nr", "2", "--snr-list", "10", "--steps", "2",
+              "--trials", "2", "--jobs", "8"])
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        main(["ber-snr", *TINY, "--jobs", "2"])
+        assert seen == [("sweep", 3), ("sweep", 2), ("trace", 3), ("sweep", 1)]
 
 
 def test_presets_cover_every_figure_family():

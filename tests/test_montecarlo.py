@@ -248,6 +248,83 @@ class TestRunSweep:
         assert run_sweep(cfg, n_jobs=1) == run_sweep(cfg, n_jobs=2)
 
 
+class TestRhoGroups:
+    """Cells that differ only in rho run as one group over shared trials."""
+
+    # per 1000 trials: ~1040 errors at rho 0, 20 at 0.5, 24 at 1, 8 at 1.5 and
+    # 118 at 100, so the cells stop in different chunks or not at all
+    GRID = dict(nt=4, nr=6, snr_db=10.0, rho=[0.0, 0.5, 1.0, 1.5, 100.0], n_f=8,
+                max_trials=1500, min_bit_errors=25, master_seed=0)
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_fused_sweep_equals_per_cell_runs(self, n_jobs):
+        cfg = ExperimentConfig(**self.GRID)
+        fused = run_sweep(cfg, n_jobs=n_jobs)
+        assert fused == [run_point(p) for p in cfg.points()]
+        chunk = montecarlo._CHUNK
+        assert [(r.trials_run - 1) // chunk for r in fused] == [0, 2, 1, 2, 0]
+        assert [r.flagged for r in fused] == [False, False, False, True, False]
+        assert fused[3].trials_run == cfg.max_trials
+
+    def test_each_cell_stops_on_the_trial_that_reaches_its_floor(self):
+        cfg = ExperimentConfig(**self.GRID)
+        for result in run_sweep(cfg):
+            p = result.point
+            errors = np.cumsum([trial(p, i)[0] for i in range(p.max_trials)])
+            reached = np.flatnonzero(errors >= p.min_bit_errors)
+            stop = int(reached[0]) + 1 if reached.size else p.max_trials
+            assert result.trials_run == stop
+            assert result.bit_errors == errors[stop - 1]
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_all_aborted_group(self, n_jobs):
+        # ZF with nt > nr: every Gram matrix is singular, every trial aborts
+        cfg = ExperimentConfig(nt=4, nr=2, snr_db=10.0, detector="zf", rho=[0.9, 1.0],
+                               n_f=8, max_trials=300, min_bit_errors=5)
+        results = run_sweep(cfg, n_jobs=n_jobs)
+        assert results == [run_point(p) for p in cfg.points()]
+        for r in results:
+            assert (r.trials_run, r.aborted_trials, r.bit_errors) == (300, 300, 0)
+            assert r.flagged and np.isnan(r.ber)
+
+    def test_trial_never_reads_stale_inputs(self):
+        def outcome(point, index):
+            errors, trace = trial(point, index, record_trace=True)
+            if trace is None:
+                return errors, None
+            return errors, trace.initial_likelihood, trace.likelihood.tobytes()
+
+        def fresh(point, index):
+            montecarlo._SHARED.clear()
+            return outcome(point, index)
+
+        p = (_point(snr_db=4.0, rho=0.9), 3)
+        others = [
+            (p[0], 4),
+            (replace(p[0], rho=1.0), 3),
+            (replace(p[0], snr_db=8.0), 3),
+            (replace(p[0], detector=DetectorKind.MMSE), 3),
+            (replace(p[0], nr=6), 3),
+            (replace(p[0], master_seed=1), 3),
+            (replace(p[0], las_enabled=False), 3),
+        ]
+        for before, after in [(p, o) for o in others] + [(o, p) for o in others]:
+            expected = fresh(*after)
+            fresh(*before)  # leaves only the inputs of ``before`` behind
+            assert outcome(*after) == expected, (before, after)
+
+    def test_at_most_one_trial_is_kept_and_chunks_leave_none(self):
+        p = _point(max_trials=20)
+        trial(p, 0)
+        trial(p, 1)
+        assert len(montecarlo._SHARED) == 1
+        run_point(p)
+        assert montecarlo._SHARED == {}
+        trial(p, 0)
+        run_trace(p, trials=4)
+        assert montecarlo._SHARED == {}
+
+
 class TestRunTrace:
     def test_shapes_and_initial_column(self):
         p = _point(n_f=10, snr_db=2.0)

@@ -74,7 +74,6 @@ def test_guard_rejects_large_systems():
     nt = MAX_BRUTEFORCE_NT + 1
     ws = SlasWorkspace(
         y_eff=np.zeros(nt),
-        h_eff=np.eye(nt, dtype=complex),
         h_real=2 * np.eye(nt),
         zeta_base=2 * np.ones(nt),
     )

@@ -6,6 +6,8 @@ and per-flip deltas as differences of two full likelihood evaluations.
 The incremental kernel must agree with all of them to float precision.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -25,8 +27,9 @@ from mimo_slas.slas import (
 RNG_STREAM = 2026
 
 
-def _likelihood_loops(ws, b):
-    """b^T y_eff - b^T Re(H_eff) b with explicit summation."""
+def _likelihood_loops(ws, h, b):
+    """b^T y_eff - b^T Re(H_eff) b with explicit summation, H_eff = H^H H."""
+    h_eff = h.conj().T @ h
     nt = ws.nt
     total = 0.0
     for i in range(nt):
@@ -34,7 +37,7 @@ def _likelihood_loops(ws, b):
     quad = 0.0
     for i in range(nt):
         for j in range(nt):
-            quad += b[i] * ws.h_eff[i, j].real * b[j]
+            quad += b[i] * h_eff[i, j].real * b[j]
     return total - quad
 
 
@@ -58,7 +61,8 @@ class TestWorkspace:
         h = sample_channel(5, 8, rng)
         b_true = sample_bpsk(5, 1.0, rng)
         y = h @ b_true
-        np.testing.assert_allclose(ws.h_eff, h.conj().T @ h, rtol=1e-12)
+        h_eff = h.conj().T @ h
+        np.testing.assert_allclose(ws.h_real, (h_eff + h_eff.conj()).real, rtol=1e-12)
         np.testing.assert_allclose(ws.y_eff, 2 * (h.conj().T @ y).real, rtol=1e-12)
         np.testing.assert_allclose(ws.h_real, 2 * (h.conj().T @ h).real, rtol=1e-12)
         np.testing.assert_allclose(ws.zeta_base, np.abs(np.diag(ws.h_real)), rtol=1e-15)
@@ -86,8 +90,9 @@ class TestLikelihoodAndGradient:
     @pytest.mark.parametrize("seed", range(5))
     def test_likelihood_matches_loop_oracle(self, seed):
         ws, b0, _ = _random_setup(6, 6, seed)
+        h = sample_channel(6, 6, np.random.default_rng(seed))  # _random_setup's channel
         assert likelihood(ws, b0.bits) == pytest.approx(
-            _likelihood_loops(ws, b0.bits), rel=1e-12
+            _likelihood_loops(ws, h, b0.bits), rel=1e-12
         )
 
     def test_gradient_matches_loop_oracle(self):
@@ -248,6 +253,32 @@ class TestRun:
             run(ws, b0, rho=-0.5, n_f=4)
         with pytest.raises(ValueError):
             run(ws, HardDecision(bits=np.ones(5)), rho=1.0, n_f=4)
+
+
+def test_trace_bytes_are_pinned():
+    """Every field of run's trace, over rho, nt and n_f, hashes to the value
+    the numpy-scalar kernel produced; the search loop may get faster, but no
+    output byte may move."""
+    digest = hashlib.sha256()
+    for nt in (1, 4, 32):
+        rng = np.random.default_rng(7000 + nt)
+        h = sample_channel(nt, nt, rng)
+        b_true = sample_bpsk(nt, 1.0, rng)
+        noise = rng.standard_normal(nt) + 1j * rng.standard_normal(nt)
+        y = h @ b_true + np.sqrt(0.5) * noise
+        ws = precompute(h, y)
+        b0 = slice_bpsk(mf(h, y))
+        for rho in (0.0, 0.5, 0.8, 1.0, 1.2):
+            for n_f in (0, 3, 90):
+                hd, tr = run(ws, b0, rho, n_f, b_true=b_true)
+                for a in (tr.antenna, tr.likelihood, tr.flipped, tr.bit_errors,
+                          tr.final_bits, tr.final_gradient, hd.bits):
+                    digest.update(f"{a.dtype.str}{a.shape}".encode() + a.tobytes())
+                digest.update(repr((float(tr.initial_likelihood).hex(), tr.initial_bit_errors,
+                                    tr.flips, tr.steps_run, tr.converged)).encode())
+    assert digest.hexdigest() == (
+        "8b1f37e2b3f9eb4a0367636e690a02db0ac984170f7d38a69cf97752f63c68e7"
+    )
 
 
 class TestRunFlopAccounting:
