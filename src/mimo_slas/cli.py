@@ -12,13 +12,17 @@ Commands::
 
 Shared conventions:
 
-* ``--seed`` beats the ``MIMO_SLAS_SEED`` environment variable, which beats a
-  ``--config`` JSON value, which beats the built-in default 0.
-* ``--preset figN`` loads a named experiment grid; explicit flags override
-  preset values field by field.
-* ``--config FILE`` reads a JSON object with experiment-config keys
-  (nt, nr, snr_db, rho, detector, las_enabled, n_f, max_trials,
-  min_bit_errors, master_seed); explicit flags and presets override it.
+* Every setting is keyed by its ``ExperimentConfig`` field name
+  (``--snr-list``/``--snr`` set ``snr_db``, ``--steps`` sets ``n_f``,
+  ``--n-list`` sets ``nt``, ``--seed`` sets ``master_seed``, ...) and is
+  resolved in one place, lowest layer first: the command's ``DEFAULTS``, a
+  ``--config FILE`` JSON object of config fields, the ``MIMO_SLAS_SEED``
+  environment variable (the seed only), a ``--preset figN`` grid, explicit
+  flags.  ``flops`` and ``selfcheck`` take no ``--config``.
+* ``ber-rho`` and ``trace`` always run the search; ``ber-antennas`` and
+  ``ber-rho`` pair ``nr`` with ``nt``.  BER sweeps and traces both run the
+  grid of one ``ExperimentConfig``, so any config axis may be a scalar or a
+  list.
 * List-valued flags accept ``a,b,c`` and inclusive ranges ``start:step:stop``;
   ``--snr-list -10:5:0`` may be written with a space or with ``=``.
 * ``--jobs N`` parallelizes trials without changing any output byte; N must
@@ -43,14 +47,7 @@ from .channel import SnrSpec
 from .complexity import CostKind, benchmark, flops_closed_form, reconcile
 from .detectors import DetectorKind, detect, mf, slice_bpsk
 from .linalg import FlopCounter, SingularMatrixError
-from .montecarlo import (
-    ExperimentConfig,
-    PointSpec,
-    check_snr_keys,
-    draw,
-    run_sweep,
-    run_trace,
-)
+from .montecarlo import ExperimentConfig, PointSpec, draw, run_sweep, run_trace
 from .selfcheck import run_selfcheck
 from .slas import full_recompute_step_flops, precompute, run
 
@@ -103,44 +100,65 @@ _POW2 = [1, 2, 4, 8, 16, 32, 64, 128, 256]
 _TABLE_N = [1, 2, 4, 16, 32, 64, 128, 256]
 _RHO_GRID = [x / 100 for x in range(80, 121, 5)]
 
-# Named experiment grids; values fill in for flags the user did not pass.
+# Named experiment grids, keyed by setting; they sit above a --config file
+# and below explicit flags.
 PRESETS: dict[str, tuple[str, dict]] = {
     "fig1": ("ber-snr", {}),
     "fig2": ("ber-antennas", {}),
     "fig3": (
         "trace",
-        {"nt": 128, "nr": 128, "snr_list": [5.0, 10.0, 20.0], "rho_list": [1.0],
-         "steps": 128, "trials": 50, "detector": "mf"},
+        {"nt": 128, "nr": 128, "snr_db": [5.0, 10.0, 20.0], "rho": [1.0],
+         "n_f": 128, "max_trials": 50, "detector": "mf"},
     ),
     "fig4": (
         "ber-rho",
-        {"n_list": [32], "snr_list": [10.0],
-         "rho_list": [x / 10 for x in range(7, 14)], "steps": 96, "detector": "mf"},
+        {"nt": [32], "snr_db": [10.0],
+         "rho": [x / 10 for x in range(7, 14)], "n_f": 96, "detector": "mf"},
     ),
     "fig5": (
         "trace",
-        {"nt": 64, "nr": 64, "snr_list": [10.0, 20.0, 30.0, 40.0],
-         "rho_list": [1.0], "steps": 320, "trials": 50, "detector": "mf"},
+        {"nt": 64, "nr": 64, "snr_db": [10.0, 20.0, 30.0, 40.0],
+         "rho": [1.0], "n_f": 320, "max_trials": 50, "detector": "mf"},
     ),
     "fig6": (
         "trace",
-        {"nt": 64, "nr": 64, "snr_list": [15.0],
-         "rho_list": [x / 10 for x in range(8, 14)], "steps": 256, "trials": 50,
+        {"nt": 64, "nr": 64, "snr_db": [15.0],
+         "rho": [x / 10 for x in range(8, 14)], "n_f": 256, "max_trials": 50,
          "detector": "mf"},
     ),
     "fig7": (
         "ber-rho",
-        {"n_list": [16, 32, 64, 128], "snr_list": [10.0], "rho_list": _RHO_GRID,
-         "steps": 256, "detector": "mf"},
+        {"nt": [16, 32, 64, 128], "snr_db": [10.0], "rho": _RHO_GRID,
+         "n_f": 256, "detector": "mf"},
     ),
     "fig8": (
         "ber-rho",
-        {"n_list": [32], "snr_list": [0.0, 5.0, 10.0], "rho_list": _RHO_GRID,
-         "steps": 100, "detector": "mf"},
+        {"nt": [32], "snr_db": [0.0, 5.0, 10.0], "rho": _RHO_GRID,
+         "n_f": 100, "detector": "mf"},
     ),
     "fig9": ("flops", {}),
     "fig10": ("flops", {"benchmark": True}),
 }
+
+_BER_DEFAULTS = {"rho": 1.0, "n_f": 100, "max_trials": 100_000, "min_bit_errors": 5,
+                 "master_seed": 0}
+# Each command's built-in settings, keyed like PRESETS: ExperimentConfig
+# fields for the BER commands and trace.  A command's keys are also the only
+# settings its flags may set.
+DEFAULTS: dict[str, dict] = {
+    "ber-snr": {**_BER_DEFAULTS, "nt": 32, "nr": 32,
+                "snr_db": [float(s) for s in range(0, 41, 5)],
+                "detector": "all", "las_enabled": "both"},
+    "ber-antennas": {**_BER_DEFAULTS, "nt": _TABLE_N, "snr_db": 15.0, "detector": "all",
+                     "las_enabled": "both", "n_f": 256},
+    "ber-rho": {**_BER_DEFAULTS, "nt": [32], "snr_db": [10.0], "detector": "mf",
+                "rho": _RHO_GRID},
+    "trace": {"nt": 128, "nr": 128, "snr_db": [5.0, 10.0, 20.0], "rho": [1.0],
+              "detector": "mf", "n_f": 128, "max_trials": 50, "master_seed": 0},
+    "flops": {"nt": _POW2, "n_f": _POW2, "benchmark": False, "reps": 11, "master_seed": 0},
+    "selfcheck": {"instances": 1000, "inject_fault": "none", "master_seed": 0},
+}
+_LAS_AXIS = {"on": (True,), "off": (False,), "both": (False, True)}
 
 
 def _parse_number_list(text: str, kind):
@@ -174,20 +192,15 @@ def _parse_number_list(text: str, kind):
     return [kind(v) for v in values]
 
 
-def _list_arg(text: str, kind) -> list:
-    # argparse shows an ArgumentTypeError's own message, not "invalid <type> value"
-    try:
-        return _parse_number_list(text, kind)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _int_list(text: str) -> list[int]:
-    return _list_arg(text, int)
-
-
-def _float_list(text: str) -> list[float]:
-    return _list_arg(text, float)
+def _list_arg(kind):
+    """An argparse type for a list of ``kind`` values."""
+    def parse(text: str) -> list:
+        # argparse shows an ArgumentTypeError's own message, not "invalid <type> value"
+        try:
+            return _parse_number_list(text, kind)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 def _jobs(text: str) -> int:
@@ -209,32 +222,8 @@ def _attach_negative_lists(argv: list[str]) -> list[str]:
     return out
 
 
-def _detectors(choice: str) -> tuple[DetectorKind, ...]:
-    if choice == "all":
-        return (DetectorKind.MF, DetectorKind.ZF, DetectorKind.MMSE)
-    return (DetectorKind(choice),)
-
-
-def _las_axis(choice: str) -> tuple[bool, ...]:
-    return {"on": (True,), "off": (False,), "both": (False, True)}[choice]
-
-
 def _fmt(x: float) -> str:
     return f"{x:g}"
-
-
-def _resolve_seed(flag_value, config_value) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("MIMO_SLAS_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"MIMO_SLAS_SEED must be an integer, got {env!r}")
-    if config_value is not None:
-        return int(config_value)
-    return 0
 
 
 def _load_config(path: str | None) -> dict:
@@ -244,55 +233,56 @@ def _load_config(path: str | None) -> dict:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must contain a JSON object")
-    ExperimentConfig.check_keys(data)
     return data
 
 
-def _preset_values(args, parser, command: str) -> dict:
-    if getattr(args, "preset", None) is None:
-        return {}
-    preset_command, values = PRESETS[args.preset]
-    if preset_command != command:
-        parser.error(
-            f"preset {args.preset!r} belongs to command {preset_command!r}"
-        )
-    return values
+def _settings(args, parser) -> dict:
+    """The command's settings, each layer overriding the one before:
+    DEFAULTS, --config, MIMO_SLAS_SEED, --preset, explicit flags."""
+    command, preset = args.command, getattr(args, "preset", None)
+    if preset is not None and PRESETS[preset][0] != command:
+        parser.error(f"preset {preset!r} belongs to command {PRESETS[preset][0]!r}")
+    settings = dict(DEFAULTS[command])
+    settings.update(_load_config(getattr(args, "config", None)))
+    env = os.environ.get("MIMO_SLAS_SEED")
+    if env is not None and args.master_seed is None:
+        try:
+            settings["master_seed"] = int(env)
+        except ValueError:
+            raise ValueError(f"MIMO_SLAS_SEED must be an integer, got {env!r}") from None
+    if preset is not None:
+        settings.update(PRESETS[preset][1])
+    settings.update({key: value for key, value in vars(args).items()
+                     if key in DEFAULTS[command] and value is not None})
+    settings["master_seed"] = int(settings["master_seed"])
+    if command in ("ber-rho", "trace"):
+        # a selectivity sweep or a step trace is meaningless without the search
+        settings["las_enabled"] = True
+    if command in ("ber-antennas", "ber-rho"):
+        settings["nr"] = settings["nt"]
+    if settings.get("detector") == "all":
+        settings["detector"] = tuple(DetectorKind)
+    if isinstance(settings.get("las_enabled"), str):
+        settings["las_enabled"] = _LAS_AXIS[settings["las_enabled"]]
+    return settings
 
 
-def _setting(args, preset: dict, config: dict, name: str, default, config_key=None, adapt=None):
-    """Layered lookup: explicit flag > preset > config file > default."""
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in preset:
-        return preset[name]
-    if config_key is not None and config_key in config:
-        raw = config[config_key]
-        return adapt(raw) if adapt else raw
-    return default
-
-
-def _write_rows(columns, rows, out_path: str | None, fmt: str) -> None:
-    if fmt == "json":
-        payload = json.dumps(
-            {"schema_version": SCHEMA_VERSION, "rows": rows}, indent=2
-        )
-        if out_path:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(payload + "\n")
-        else:
-            sys.stdout.write(payload + "\n")
-        return
-    buf = io.StringIO()
-    buf.write(f"# schema_version={SCHEMA_VERSION}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([row[c] for c in columns])
-    text = buf.getvalue()
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+def _write_rows(args, columns, rows) -> None:
+    """Write the rows to ``--out`` (then say so on stdout) or to stdout."""
+    if args.format == "json":
+        text = json.dumps({"schema_version": SCHEMA_VERSION, "rows": rows}, indent=2) + "\n"
+    else:
+        buf = io.StringIO()
+        buf.write(f"# schema_version={SCHEMA_VERSION}\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([row[c] for c in columns])
+        text = buf.getvalue()
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
+        print(f"{args.command}: wrote {len(rows)} rows to {args.out}")
     else:
         sys.stdout.write(text)
 
@@ -344,148 +334,36 @@ def _ber_rows(experiment: str, results) -> list[dict]:
     return rows
 
 
-def _add_common(sub, trials_flag=True):
-    sub.add_argument("--seed", type=int, default=None, help="master seed")
-    sub.add_argument("--jobs", type=_jobs, default=1,
-                     help="worker processes (at most the CPU count)")
-    sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--format", choices=["csv", "json"], default="csv")
-    sub.add_argument("--config", default=None, help="JSON experiment config")
-    sub.add_argument("--preset", choices=sorted(PRESETS), default=None)
-    if trials_flag:
-        sub.add_argument("--trials", type=int, default=None, help="max trials per cell")
-        sub.add_argument(
-            "--min-errors", type=int, default=None,
-            help="stop a cell early once this many bit errors accumulate",
-        )
-
-
-def _run_ber_command(args, parser, experiment: str, grid: dict) -> int:
-    config = _load_config(args.config)
-    seed = _resolve_seed(args.seed, config.get("master_seed"))
-    cfg = ExperimentConfig(
-        nt=grid["nt"],
-        nr=grid["nr"],
-        snr_db=grid["snr_db"],
-        rho=grid["rho"],
-        detector=grid["detector"],
-        las_enabled=grid["las"],
-        n_f=grid["steps"],
-        max_trials=grid["trials"],
-        min_bit_errors=grid["min_errors"],
-        master_seed=seed,
-    )
-    results = run_sweep(cfg, n_jobs=args.jobs)
-    _write_rows(BER_COLUMNS, _ber_rows(experiment, results), args.out, args.format)
-    if args.out:
-        print(f"{experiment}: wrote {len(results)} rows to {args.out}")
+def cmd_ber(args, parser) -> int:
+    """ber-snr, ber-antennas and ber-rho: one sweep over the resolved grid."""
+    results = run_sweep(ExperimentConfig.from_mapping(_settings(args, parser)),
+                        n_jobs=args.jobs)
+    _write_rows(args, BER_COLUMNS, _ber_rows(args.command, results))
     return 0
 
 
-def cmd_ber_snr(args, parser) -> int:
-    preset = _preset_values(args, parser, "ber-snr")
-    config = _load_config(args.config)
-    las_adapt = lambda v: {True: "on", False: "off"}.get(v, "both") if not isinstance(v, str) else v
-    grid = {
-        "nt": _setting(args, preset, config, "nt", 32, "nt"),
-        "nr": _setting(args, preset, config, "nr", 32, "nr"),
-        "snr_db": _setting(
-            args, preset, config, "snr_list", [float(s) for s in range(0, 41, 5)], "snr_db"
-        ),
-        "detector": _detectors(_setting(args, preset, config, "detector", "all", "detector")),
-        "las": _las_axis(las_adapt(_setting(args, preset, config, "las", "both", "las_enabled"))),
-        "rho": _setting(args, preset, config, "rho", 1.0, "rho"),
-        "steps": _setting(args, preset, config, "steps", 100, "n_f"),
-        "trials": _setting(args, preset, config, "trials", 100_000, "max_trials"),
-        "min_errors": _setting(args, preset, config, "min_errors", 5, "min_bit_errors"),
-    }
-    return _run_ber_command(args, parser, "ber-snr", grid)
-
-
-def cmd_ber_antennas(args, parser) -> int:
-    preset = _preset_values(args, parser, "ber-antennas")
-    config = _load_config(args.config)
-    n_list = _setting(args, preset, config, "n_list", list(_TABLE_N), "nt")
-    las_adapt = lambda v: {True: "on", False: "off"}.get(v, "both") if not isinstance(v, str) else v
-    grid = {
-        "nt": n_list,
-        "nr": n_list,
-        "snr_db": [_setting(args, preset, config, "snr", 15.0, "snr_db")],
-        "detector": _detectors(_setting(args, preset, config, "detector", "all", "detector")),
-        "las": _las_axis(las_adapt(_setting(args, preset, config, "las", "both", "las_enabled"))),
-        "rho": _setting(args, preset, config, "rho", 1.0, "rho"),
-        "steps": _setting(args, preset, config, "steps", 256, "n_f"),
-        "trials": _setting(args, preset, config, "trials", 100_000, "max_trials"),
-        "min_errors": _setting(args, preset, config, "min_errors", 5, "min_bit_errors"),
-    }
-    return _run_ber_command(args, parser, "ber-antennas", grid)
-
-
-def cmd_ber_rho(args, parser) -> int:
-    preset = _preset_values(args, parser, "ber-rho")
-    config = _load_config(args.config)
-    n_list = _setting(args, preset, config, "n_list", [32], "nt")
-    grid = {
-        "nt": n_list,
-        "nr": n_list,
-        "snr_db": _setting(args, preset, config, "snr_list", [10.0], "snr_db"),
-        "detector": _detectors(_setting(args, preset, config, "detector", "mf", "detector")),
-        "las": (True,),  # a selectivity sweep is meaningless without the search
-        "rho": _setting(args, preset, config, "rho_list", list(_RHO_GRID), "rho"),
-        "steps": _setting(args, preset, config, "steps", 100, "n_f"),
-        "trials": _setting(args, preset, config, "trials", 100_000, "max_trials"),
-        "min_errors": _setting(args, preset, config, "min_errors", 5, "min_bit_errors"),
-    }
-    return _run_ber_command(args, parser, "ber-rho", grid)
-
-
 def cmd_trace(args, parser) -> int:
-    preset = _preset_values(args, parser, "trace")
-    config = _load_config(args.config)
-    seed = _resolve_seed(args.seed, config.get("master_seed"))
-    nt = _setting(args, preset, config, "nt", 128, "nt")
-    nr = _setting(args, preset, config, "nr", 128, "nr")
-    snr_list = _setting(args, preset, config, "snr_list", [5.0, 10.0, 20.0], "snr_db")
-    rho_list = _setting(args, preset, config, "rho_list", [1.0], "rho")
-    detector = DetectorKind(_setting(args, preset, config, "detector", "mf", "detector"))
-    steps = _setting(args, preset, config, "steps", 128, "n_f")
-    trials = _setting(args, preset, config, "trials", 50, "max_trials")
-    check_snr_keys(snr_list)
+    cfg = ExperimentConfig.from_mapping(_settings(args, parser))
     rows = []
-    for snr_db in snr_list:
-        for rho in rho_list:
-            point = PointSpec(
-                nt=nt,
-                nr=nr,
-                snr_db=snr_db,
-                detector=detector,
-                las_enabled=True,
-                rho=rho,
-                n_f=steps,
-                max_trials=trials,
-                min_bit_errors=1,
-                master_seed=seed,
+    for p in cfg.points():
+        agg = run_trace(p, p.max_trials, n_jobs=args.jobs)
+        for step in range(p.n_f + 1):
+            rows.append(
+                {
+                    "experiment": "trace",
+                    "nt": p.nt,
+                    "nr": p.nr,
+                    "snr_db": _fmt(p.snr_db),
+                    "detector": p.detector.value,
+                    "rho": _fmt(p.rho),
+                    "n_f": p.n_f,
+                    "trials": p.max_trials,
+                    "step": step,
+                    "mean_likelihood": f"{agg.mean_likelihood[step]:.8e}",
+                    "mean_ber": f"{agg.mean_ber[step]:.5e}",
+                }
             )
-            agg = run_trace(point, trials, n_jobs=args.jobs)
-            for step in range(steps + 1):
-                rows.append(
-                    {
-                        "experiment": "trace",
-                        "nt": nt,
-                        "nr": nr,
-                        "snr_db": _fmt(snr_db),
-                        "detector": detector.value,
-                        "rho": _fmt(rho),
-                        "n_f": steps,
-                        "trials": trials,
-                        "step": step,
-                        "mean_likelihood": f"{agg.mean_likelihood[step]:.8e}",
-                        "mean_ber": f"{agg.mean_ber[step]:.5e}",
-                    }
-                )
-    _write_rows(TRACE_COLUMNS, rows, args.out, args.format)
-    if args.out:
-        print(f"trace: wrote {len(rows)} rows to {args.out}")
+    _write_rows(args, TRACE_COLUMNS, rows)
     return 0
 
 
@@ -503,27 +381,18 @@ def _flops_row(report, bench=None) -> dict:
         "notes": report.notes,
     }
     if bench is not None:
-        row.update(
-            {
-                "median_s": f"{bench.median_s:.6e}",
-                "p10_s": f"{bench.p10_s:.6e}",
-                "p90_s": f"{bench.p90_s:.6e}",
-            }
-        )
+        for column in BENCH_COLUMNS:
+            row[column] = f"{getattr(bench, column):.6e}"
     return row
 
 
 def cmd_flops(args, parser) -> int:
-    preset = _preset_values(args, parser, "flops")
-    seed = _resolve_seed(args.seed, None)
-    n_list = _setting(args, preset, {}, "n_list", list(_POW2))
-    steps_list = _setting(args, preset, {}, "steps_list", list(_POW2))
-    do_bench = bool(_setting(args, preset, {}, "benchmark", False))
-    reps = _setting(args, preset, {}, "reps", 11)
+    settings = _settings(args, parser)
+    seed, reps, do_bench = settings["master_seed"], settings["reps"], settings["benchmark"]
     snr = SnrSpec(10.0)
     rows = []
     columns = FLOPS_COLUMNS + (BENCH_COLUMNS if do_bench else [])
-    for n in n_list:
+    for n in settings["nt"]:
         inst = draw(seed, n, n, snr.snr_db, 0)
         for kind in (CostKind.MF, CostKind.ZF, CostKind.MMSE):
             counter = FlopCounter()
@@ -533,7 +402,7 @@ def cmd_flops(args, parser) -> int:
             )
             rows.append(_flops_row(reconcile(kind, n, n, counter), bench))
         b0 = slice_bpsk(mf(inst.h, inst.y))
-        for n_f in steps_list:
+        for n_f in settings["n_f"]:
             pre_counter = FlopCounter()
             ws = precompute(inst.h, inst.y, pre_counter)
             counter = FlopCounter()
@@ -554,16 +423,77 @@ def cmd_flops(args, parser) -> int:
                 row = _flops_row(report, bench)
                 row["mode"] = mode
                 rows.append(row)
-    _write_rows(columns, rows, args.out, args.format)
-    if args.out:
-        print(f"flops: wrote {len(rows)} rows to {args.out}")
+    _write_rows(args, columns, rows)
     return 0
 
 
 def cmd_selfcheck(args, parser) -> int:
-    seed = _resolve_seed(args.seed, None)
-    fault = None if args.inject_fault == "none" else args.inject_fault
-    return run_selfcheck(seed=seed, instances=args.instances, inject_fault=fault)
+    settings = _settings(args, parser)
+    fault = settings["inject_fault"]
+    return run_selfcheck(seed=settings["master_seed"], instances=settings["instances"],
+                         inject_fault=None if fault == "none" else fault)
+
+
+_DETECTORS = ["mf", "zf", "mmse"]
+# Every flag: the setting (or, for the last five, the option) it sets, and
+# its argparse keywords.  A setting flag defaults to None, "not given".
+_FLAGS: dict[str, tuple[str, dict]] = {
+    "--nt": ("nt", {"type": int}),
+    "--nr": ("nr", {"type": int}),
+    "--n-list": ("nt", {"type": _list_arg(int), "metavar": "LIST"}),
+    "--snr": ("snr_db", {"type": float, "metavar": "SNR"}),
+    "--snr-list": ("snr_db", {"type": _list_arg(float), "metavar": "LIST"}),
+    "--rho": ("rho", {"type": float}),
+    "--rho-list": ("rho", {"type": _list_arg(float), "metavar": "LIST"}),
+    "--detector": ("detector", {"choices": _DETECTORS}),
+    "--las": ("las_enabled", {"choices": ["on", "off", "both"]}),
+    "--steps": ("n_f", {"type": int, "metavar": "STEPS",
+                        "help": "search steps (antenna visits)"}),
+    "--steps-list": ("n_f", {"type": _list_arg(int), "metavar": "LIST"}),
+    "--trials": ("max_trials", {"type": int, "metavar": "TRIALS",
+                                "help": "max trials per cell"}),
+    "--min-errors": ("min_bit_errors", {
+        "type": int, "metavar": "MIN_ERRORS",
+        "help": "stop a cell early once this many bit errors accumulate"}),
+    "--benchmark": ("benchmark", {"action": "store_true",
+                                  "help": "add wall-clock timing columns"}),
+    "--reps": ("reps", {"type": int, "help": "timing repetitions (>= 5)"}),
+    "--instances": ("instances", {"type": int}),
+    "--inject-fault": ("inject_fault", {
+        "choices": ["none", "grad-sign"],
+        "help": "deliberately corrupt the replay to prove the suite catches it"}),
+    "--seed": ("master_seed", {"type": int, "metavar": "SEED", "help": "master seed"}),
+    "--jobs": ("jobs", {"type": _jobs, "default": 1,
+                        "help": "worker processes (at most the CPU count)"}),
+    "--out": ("out", {"help": "output path (default stdout)"}),
+    "--format": ("format", {"choices": ["csv", "json"], "default": "csv"}),
+    "--config": ("config", {"help": "JSON experiment config"}),
+    "--preset": ("preset", {"choices": sorted(PRESETS)}),
+}
+_ANY_DETECTOR = ("--detector", {"choices": [*_DETECTORS, "all"]})
+_RUN_FLAGS = ["--seed", "--jobs", "--out", "--format", "--config", "--preset"]
+_BER_FLAGS = [*_RUN_FLAGS, "--trials", "--min-errors"]
+# command: (help, function, flags in order; a (flag, keywords) pair overrides
+# the flag's keywords for that command)
+COMMANDS = {
+    "ber-snr": ("BER vs SNR sweep", cmd_ber,
+                ["--nt", "--nr", "--snr-list", _ANY_DETECTOR, "--las", "--rho", "--steps",
+                 *_BER_FLAGS]),
+    "ber-antennas": ("BER vs paired antenna count", cmd_ber,
+                     ["--n-list", "--snr", _ANY_DETECTOR, "--las", "--rho", "--steps",
+                      *_BER_FLAGS]),
+    "ber-rho": ("BER vs selectivity factor", cmd_ber,
+                ["--n-list", "--snr-list", "--rho-list", "--detector", "--steps",
+                 *_BER_FLAGS]),
+    "trace": ("mean likelihood/BER per search step", cmd_trace,
+              ["--nt", "--nr", "--snr-list", "--rho-list", "--detector", "--steps",
+               "--trials", *_RUN_FLAGS]),
+    "flops": ("cost-model reconciliation (and timing)", cmd_flops,
+              ["--n-list", "--steps-list", "--benchmark", "--reps", "--seed", "--out",
+               "--format", "--preset"]),
+    "selfcheck": ("randomized property suite", cmd_selfcheck,
+                  ["--instances", "--seed", "--inject-fault"]),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -573,66 +503,13 @@ def build_parser() -> argparse.ArgumentParser:
         "plus selective-threshold sequential likelihood ascent search.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ber-snr", help="BER vs SNR sweep")
-    p.add_argument("--nt", type=int, default=None)
-    p.add_argument("--nr", type=int, default=None)
-    p.add_argument("--snr-list", type=_float_list, default=None, metavar="LIST")
-    p.add_argument("--detector", choices=["mf", "zf", "mmse", "all"], default=None)
-    p.add_argument("--las", choices=["on", "off", "both"], default=None)
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None, help="search steps (antenna visits)")
-    _add_common(p)
-    p.set_defaults(func=cmd_ber_snr)
-
-    p = sub.add_parser("ber-antennas", help="BER vs paired antenna count")
-    p.add_argument("--n-list", type=_int_list, default=None, metavar="LIST")
-    p.add_argument("--snr", type=float, default=None)
-    p.add_argument("--detector", choices=["mf", "zf", "mmse", "all"], default=None)
-    p.add_argument("--las", choices=["on", "off", "both"], default=None)
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_ber_antennas)
-
-    p = sub.add_parser("ber-rho", help="BER vs selectivity factor")
-    p.add_argument("--n-list", type=_int_list, default=None, metavar="LIST")
-    p.add_argument("--snr-list", type=_float_list, default=None, metavar="LIST")
-    p.add_argument("--rho-list", type=_float_list, default=None, metavar="LIST")
-    p.add_argument("--detector", choices=["mf", "zf", "mmse"], default=None)
-    p.add_argument("--steps", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_ber_rho)
-
-    p = sub.add_parser("trace", help="mean likelihood/BER per search step")
-    p.add_argument("--nt", type=int, default=None)
-    p.add_argument("--nr", type=int, default=None)
-    p.add_argument("--snr-list", type=_float_list, default=None, metavar="LIST")
-    p.add_argument("--rho-list", type=_float_list, default=None, metavar="LIST")
-    p.add_argument("--detector", choices=["mf", "zf", "mmse"], default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    _add_common(p, trials_flag=False)
-    p.set_defaults(func=cmd_trace)
-
-    p = sub.add_parser("flops", help="cost-model reconciliation (and timing)")
-    p.add_argument("--n-list", type=_int_list, default=None, metavar="LIST")
-    p.add_argument("--steps-list", type=_int_list, default=None, metavar="LIST")
-    p.add_argument("--benchmark", action="store_true", default=None,
-                   help="add wall-clock timing columns")
-    p.add_argument("--reps", type=int, default=None, help="timing repetitions (>= 5)")
-    _add_common(p, trials_flag=False)
-    p.set_defaults(func=cmd_flops)
-
-    p = sub.add_parser("selfcheck", help="randomized property suite")
-    p.add_argument("--instances", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument(
-        "--inject-fault", choices=["none", "grad-sign"], default="none",
-        help="deliberately corrupt the replay to prove the suite catches it",
-    )
-    p.set_defaults(func=cmd_selfcheck)
-
+    for command, (help_text, func, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag in flags:
+            flag, override = (flag, {}) if isinstance(flag, str) else flag
+            dest, keywords = _FLAGS[flag]
+            p.add_argument(flag, dest=dest, **{"default": None, **keywords, **override})
+        p.set_defaults(func=func)
     return parser
 
 

@@ -1,14 +1,19 @@
 """Linear uplink detectors: matched filter, zero forcing, and MMSE.
 
-All three return a :class:`SoftEstimate` whose ``flops_spent`` is the
-instrumented real-flop cost of the call.  ZF and MMSE still form the
-explicit filter matrix ``W = G^-1 H^H``, now by solving ``G W = H^H``
+All three charge their instrumented real-flop cost to the caller's
+:class:`~mimo_slas.linalg.FlopCounter`, when one is passed, and return a
+:class:`SoftEstimate`.  ZF and MMSE still form the explicit filter matrix
+``W = G^-1 H^H``, now by solving ``G W = H^H``
 (:func:`~mimo_slas.linalg.hermitian_solve`) rather than by inverting ``G``,
 and then apply it to ``y``.  The solve is charged the inversion lump plus
 the product with ``H^H`` — the explicit-``W`` order, deliberately not the
 cheaper "invert, then multiply the matched-filter vector" one — so the
 instrumented totals line up with the closed-form cost models in
 :mod:`mimo_slas.complexity`.
+
+A detector that raises :class:`~mimo_slas.linalg.SingularMatrixError` may
+already have charged the Gram product to the counter; the one caller that
+catches the error (``cli._measured_detection_flops``) discards its counter.
 """
 
 from __future__ import annotations
@@ -34,11 +39,10 @@ class DetectorKind(str, enum.Enum):
 
 @dataclass(frozen=True)
 class SoftEstimate:
-    """Unsliced detector output plus the flops the detector spent."""
+    """Unsliced detector output."""
 
     values: np.ndarray
     detector_kind: DetectorKind
-    flops_spent: int
 
 
 @dataclass(frozen=True)
@@ -48,19 +52,10 @@ class HardDecision:
     bits: np.ndarray
 
 
-def _merge(counter: FlopCounter | None, local: FlopCounter) -> None:
-    if counter is not None:
-        counter.charge(
-            additions=local.real_additions, multiplications=local.real_multiplications
-        )
-
-
 def mf(h: np.ndarray, y: np.ndarray, counter: FlopCounter | None = None) -> SoftEstimate:
     """Matched filter H^H y."""
-    local = FlopCounter()
-    values = mat_vec(hermitian_transpose(h), y, local)
-    _merge(counter, local)
-    return SoftEstimate(values=values, detector_kind=DetectorKind.MF, flops_spent=local.total)
+    values = mat_vec(hermitian_transpose(h), y, counter)
+    return SoftEstimate(values=values, detector_kind=DetectorKind.MF)
 
 
 def zf(h: np.ndarray, y: np.ndarray, counter: FlopCounter | None = None) -> SoftEstimate:
@@ -69,13 +64,11 @@ def zf(h: np.ndarray, y: np.ndarray, counter: FlopCounter | None = None) -> Soft
     Propagates :class:`~mimo_slas.linalg.SingularMatrixError` when the Gram
     matrix is numerically singular (e.g. nt > nr).
     """
-    local = FlopCounter()
     hh = hermitian_transpose(h)
-    gram = mat_mul(hh, h, local)
-    filt = hermitian_solve(gram, hh, local)
-    values = mat_vec(filt, y, local)
-    _merge(counter, local)
-    return SoftEstimate(values=values, detector_kind=DetectorKind.ZF, flops_spent=local.total)
+    gram = mat_mul(hh, h, counter)
+    filt = hermitian_solve(gram, hh, counter)
+    values = mat_vec(filt, y, counter)
+    return SoftEstimate(values=values, detector_kind=DetectorKind.ZF)
 
 
 def mmse(
@@ -87,17 +80,16 @@ def mmse(
     times the complex identity diagonal) plus 2*nt additions (complex
     diagonal add).  With n0 = 0 this degrades to ZF exactly.
     """
-    local = FlopCounter()
     hh = hermitian_transpose(h)
-    gram = mat_mul(hh, h, local)
+    gram = mat_mul(hh, h, counter)
     nt = gram.shape[0]
     reg = gram.copy()
     reg[np.diag_indices(nt)] += snr.n0 / snr.es
-    local.charge(additions=2 * nt, multiplications=2 * nt)
-    filt = hermitian_solve(reg, hh, local)
-    values = mat_vec(filt, y, local)
-    _merge(counter, local)
-    return SoftEstimate(values=values, detector_kind=DetectorKind.MMSE, flops_spent=local.total)
+    if counter is not None:
+        counter.charge(additions=2 * nt, multiplications=2 * nt)
+    filt = hermitian_solve(reg, hh, counter)
+    values = mat_vec(filt, y, counter)
+    return SoftEstimate(values=values, detector_kind=DetectorKind.MMSE)
 
 
 def detect(

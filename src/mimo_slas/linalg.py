@@ -66,6 +66,11 @@ class SingularMatrixError(ValueError):
             f"magnitude {magnitude:.3e} < {_PIVOT_TOL:g} after partial pivoting"
         )
 
+    def __reduce__(self):
+        # the default rebuilds from ``args`` (the message alone), which
+        # ``__init__`` rejects: a worker's error would then break the pool
+        return type(self), (self.column, self.magnitude)
+
 
 @dataclass
 class FlopCounter:

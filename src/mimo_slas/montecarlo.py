@@ -174,16 +174,12 @@ class ExperimentConfig:
         return out
 
     @classmethod
-    def check_keys(cls, data: dict) -> None:
-        """Reject mapping keys that are not config fields (``--config`` files)."""
+    def from_mapping(cls, data: dict) -> "ExperimentConfig":
+        """Build from a JSON-style mapping; scalar axes are accepted and keys
+        that are not config fields are rejected."""
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-
-    @classmethod
-    def from_mapping(cls, data: dict) -> "ExperimentConfig":
-        """Build from a JSON-style mapping; scalar axes are accepted."""
-        cls.check_keys(data)
         return cls(**data)
 
 

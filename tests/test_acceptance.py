@@ -69,15 +69,17 @@ def test_criterion_02_flop_reconciliation():
         b = sample_bpsk(n, 1.0, rng)
         inst = assemble(h, b, SnrSpec(10.0), rng)
 
-        report_mf = reconcile(CostKind.MF, n, n, mf(inst.h, inst.y).flops_spent)
+        mf_count, zf_count, mmse_count = FlopCounter(), FlopCounter(), FlopCounter()
+        mf(inst.h, inst.y, mf_count)
+        report_mf = reconcile(CostKind.MF, n, n, mf_count.total)
         print(f"criterion 2: N={n} mf measured={report_mf.measured_flops} "
               f"model={report_mf.model_flops} verdict={report_mf.verdict}")
         assert report_mf.verdict == "EXACT", report_mf
 
-        report_zf = reconcile(CostKind.ZF, n, n, zf(inst.h, inst.y).flops_spent)
-        report_mmse = reconcile(
-            CostKind.MMSE, n, n, mmse(inst.h, inst.y, SnrSpec(10.0)).flops_spent
-        )
+        zf(inst.h, inst.y, zf_count)
+        mmse(inst.h, inst.y, SnrSpec(10.0), mmse_count)
+        report_zf = reconcile(CostKind.ZF, n, n, zf_count.total)
+        report_mmse = reconcile(CostKind.MMSE, n, n, mmse_count.total)
         for report in (report_zf, report_mmse):
             print(f"criterion 2: N={n} {report.kind.value} "
                   f"measured={report.measured_flops} model={report.model_flops} "

@@ -247,6 +247,31 @@ class TestConfigFile:
             main(["ber-snr", "--config", "/nonexistent/cfg.json"])
         assert exc_info.value.code == 2
 
+    # Each config axis may be a scalar or a list, for every command; ber-rho
+    # pairs nr with the config's nt.
+    @pytest.mark.parametrize("config,argv,column,expected", [
+        ({"nt": 4, "nr": 4, "snr_db": 0, "detector": "mf", "las_enabled": [False, True],
+          "max_trials": 20, "min_bit_errors": 10**9}, ["ber-snr"], "las", ["off", "on"]),
+        ({"nt": 4, "nr": 4, "snr_db": 0, "detector": ["mf", "zf"], "las_enabled": False,
+          "max_trials": 20, "min_bit_errors": 10**9}, ["ber-snr"], "detector", ["mf", "zf"]),
+        ({"snr_db": 10, "rho": 0.9},
+         ["trace", "--nt", "4", "--nr", "4", "--steps", "4", "--trials", "3"],
+         "rho", ["0.9"] * 5),
+        ({"snr_db": [10, 20]},
+         ["ber-antennas", "--n-list", "2", "--detector", "mf", "--las", "off",
+          "--trials", "20"], "snr_db", ["10", "20"]),
+        ({"nt": [3, 5]},
+         ["ber-rho", "--snr-list", "10", "--rho-list", "1", "--steps", "4",
+          "--trials", "20"], "nr", ["3", "5"]),
+    ])
+    def test_config_axes_as_in_experiment_config(self, config, argv, column, expected,
+                                                 capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out = _run(argv + ["--config", str(cfg)], capsys)
+        assert code == 0
+        assert [r[column] for r in _parse_csv(out)] == expected
+
 
 class TestTrace:
     def test_rows_and_monotone_likelihood(self, capsys):
@@ -262,6 +287,40 @@ class TestTrace:
         assert [int(r["step"]) for r in rows] == list(range(13))
         lams = [float(r["mean_likelihood"]) for r in rows]
         assert all(b >= a - 1e-9 for a, b in zip(lams, lams[1:]))
+
+    def test_settings_layering(self, capsys, monkeypatch, tmp_path):
+        # flag > preset > MIMO_SLAS_SEED > config, each layer beating the next
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"master_seed": 11, "snr_db": [0.0], "detector": "zf",
+                                   "n_f": 99, "max_trials": 7}))
+        flags = ["--nt", "4", "--nr", "4", "--steps", "4", "--trials", "3"]
+        explicit = ["trace", "--snr-list", "5,10,20", "--rho-list", "1",
+                    "--detector", "mf"] + flags
+        monkeypatch.setenv("MIMO_SLAS_SEED", "12")
+        _, layered = _run(["trace", "--preset", "fig3", "--config", str(cfg)] + flags,
+                          capsys)
+        _, flag_seed = _run(["trace", "--preset", "fig3", "--config", str(cfg), "--seed",
+                             "13"] + flags, capsys)
+        monkeypatch.delenv("MIMO_SLAS_SEED")
+        _, seed12 = _run(explicit + ["--seed", "12"], capsys)
+        _, seed13 = _run(explicit + ["--seed", "13"], capsys)
+        _, seed11 = _run(explicit + ["--seed", "11"], capsys)
+        assert layered == seed12
+        assert flag_seed == seed13
+        assert seed11 != seed12 != seed13
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_singular_channel_fails_alike_at_any_jobs(self, jobs, monkeypatch, capsys):
+        # nt > nr: every ZF Gram matrix is singular; 600 trials make two chunks
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with pytest.raises(SystemExit) as exc_info:
+            main(["trace", "--nt", "4", "--nr", "2", "--detector", "zf", "--trials", "600",
+                  "--steps", "4", "--snr-list", "10", "--jobs", jobs])
+        assert exc_info.value.code == 2
+        assert capsys.readouterr().err == (
+            "mimo-slas: error: matrix is numerically singular: pivot column 2 has "
+            "magnitude 1.598e-16 < 1e-12 after partial pivoting\n"
+        )
 
 
 class TestFlops:
@@ -290,6 +349,13 @@ class TestFlops:
         rows = _parse_csv(out)
         assert list(rows[0].keys()) == FLOPS_COLUMNS + ["median_s", "p10_s", "p90_s"]
         assert all(float(r["median_s"]) > 0 for r in rows)
+
+    @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--config", "f.json"]])
+    def test_takes_no_jobs_or_config(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["flops", "--n-list", "2", "--steps-list", "2"] + flag)
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestSelfcheck:

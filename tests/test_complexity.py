@@ -60,8 +60,9 @@ def test_kind_accepts_strings():
 @pytest.mark.parametrize("n", [1, 2, 16, 64])
 def test_mf_reconciles_exactly(n):
     inst = _instance(n, n, n)
-    est = mf(inst.h, inst.y)
-    report = reconcile(CostKind.MF, n, n, est.flops_spent)
+    counter = FlopCounter()
+    mf(inst.h, inst.y, counter)
+    report = reconcile(CostKind.MF, n, n, counter.total)
     assert report.verdict == "EXACT"
     assert report.relative_error == 0.0
 
@@ -69,10 +70,11 @@ def test_mf_reconciles_exactly(n):
 @pytest.mark.parametrize("n", [2, 16, 64])
 def test_zf_and_mmse_reconcile_exactly_on_square_systems(n):
     inst = _instance(n, n, 1000 + n)
-    report_zf = reconcile(CostKind.ZF, n, n, zf(inst.h, inst.y).flops_spent)
-    report_mmse = reconcile(
-        CostKind.MMSE, n, n, mmse(inst.h, inst.y, SnrSpec(10.0)).flops_spent
-    )
+    zf_count, mmse_count = FlopCounter(), FlopCounter()
+    zf(inst.h, inst.y, zf_count)
+    mmse(inst.h, inst.y, SnrSpec(10.0), mmse_count)
+    report_zf = reconcile(CostKind.ZF, n, n, zf_count.total)
+    report_mmse = reconcile(CostKind.MMSE, n, n, mmse_count.total)
     assert report_zf.verdict == "EXACT"
     assert report_mmse.verdict == "EXACT"
 
@@ -80,7 +82,9 @@ def test_zf_and_mmse_reconcile_exactly_on_square_systems(n):
 def test_zf_reconciles_within_tolerance_on_tall_systems():
     nt, nr = 16, 24
     inst = _instance(nt, nr, 3)
-    report = reconcile(CostKind.ZF, nt, nr, zf(inst.h, inst.y).flops_spent)
+    counter = FlopCounter()
+    zf(inst.h, inst.y, counter)
+    report = reconcile(CostKind.ZF, nt, nr, counter.total)
     assert report.verdict == "WITHIN_TOL"
     assert 0.0 < report.relative_error <= 0.10
     assert "model_minus_measured" in report.notes

@@ -100,15 +100,17 @@ def test_mmse_with_zero_noise_equals_zf():
 @pytest.mark.parametrize("nt,nr", [(2, 2), (8, 8), (32, 32), (4, 9)])
 def test_mf_instrumented_cost_matches_model(nt, nr):
     h, _, y = _instance(nt, nr, nt * 100 + nr)
-    est = mf(h, y)
-    assert est.flops_spent == flops_closed_form(CostKind.MF, nt, nr).flops
+    counter = FlopCounter()
+    mf(h, y, counter)
+    assert counter.total == flops_closed_form(CostKind.MF, nt, nr).flops
 
 
 @pytest.mark.parametrize("nt,nr", [(2, 2), (8, 8), (32, 32)])
 def test_zf_instrumented_cost_matches_model_square(nt, nr):
     h, _, y = _instance(nt, nr, nt * 101 + nr)
-    est = zf(h, y)
-    assert est.flops_spent == flops_closed_form(CostKind.ZF, nt, nr).flops
+    counter = FlopCounter()
+    zf(h, y, counter)
+    assert counter.total == flops_closed_form(CostKind.ZF, nt, nr).flops
 
 
 def test_zf_rectangular_cost_gap_is_filter_apply_tradeoff():
@@ -116,33 +118,36 @@ def test_zf_rectangular_cost_gap_is_filter_apply_tradeoff():
     # cheaper by exactly 2*nt*(nr - nt) real additions
     nt, nr = 4, 9
     h, _, y = _instance(nt, nr, 6)
-    est = zf(h, y)
+    counter = FlopCounter()
+    zf(h, y, counter)
     model = flops_closed_form(CostKind.ZF, nt, nr).flops
-    assert model - est.flops_spent == 2 * nt * (nr - nt)
+    assert model - counter.total == 2 * nt * (nr - nt)
 
 
 @pytest.mark.parametrize("nt,nr", [(2, 2), (8, 8), (32, 32)])
 def test_mmse_costs_4nt_more_than_zf(nt, nr):
     h, _, y = _instance(nt, nr, nt * 102 + nr)
-    est_zf = zf(h, y)
-    est_mmse = mmse(h, y, SnrSpec(snr_db=10.0))
-    assert est_mmse.flops_spent - est_zf.flops_spent == 4 * nt
-    assert est_mmse.flops_spent == flops_closed_form(CostKind.MMSE, nt, nr).flops
+    zf_count, mmse_count = FlopCounter(), FlopCounter()
+    zf(h, y, zf_count)
+    mmse(h, y, SnrSpec(snr_db=10.0), mmse_count)
+    assert mmse_count.total - zf_count.total == 4 * nt
+    assert mmse_count.total == flops_closed_form(CostKind.MMSE, nt, nr).flops
 
 
 def test_external_counter_accumulates_across_calls():
     h, _, y = _instance(4, 4, 7)
-    c = FlopCounter()
-    est1 = mf(h, y, c)
-    est2 = zf(h, y, c)
-    assert c.total == est1.flops_spent + est2.flops_spent
+    c, mf_count, zf_count = FlopCounter(), FlopCounter(), FlopCounter()
+    mf(h, y, c)
+    zf(h, y, c)
+    mf(h, y, mf_count)
+    zf(h, y, zf_count)
+    assert c.total == mf_count.total + zf_count.total
 
 
 def test_slicer_signs_and_tie():
     est = SoftEstimate(
         values=np.array([0.3 + 9j, -0.2 + 9j, 0.0 - 1j, -0.0 + 1j]),
         detector_kind=DetectorKind.MF,
-        flops_spent=0,
     )
     hard = slice_bpsk(est)
     assert isinstance(hard, HardDecision)
@@ -164,13 +169,15 @@ def test_detector_kind_round_trips_from_string():
 def test_detect_dispatches_to_the_named_detector(kind):
     h, _, y = _instance(6, 8, 40)
     snr = SnrSpec(10.0)
-    expected = {DetectorKind.MF: mf(h, y), DetectorKind.ZF: zf(h, y),
-                DetectorKind.MMSE: mmse(h, y, snr)}[kind]
+    expected_count = FlopCounter()
+    expected = {DetectorKind.MF: lambda: mf(h, y, expected_count),
+                DetectorKind.ZF: lambda: zf(h, y, expected_count),
+                DetectorKind.MMSE: lambda: mmse(h, y, snr, expected_count)}[kind]()
     counter = FlopCounter()
     got = detect(kind, h, y, snr, counter)
     np.testing.assert_array_equal(got.values, expected.values)
     assert got.detector_kind is kind
-    assert counter.total == expected.flops_spent
+    assert counter.total == expected_count.total
 
 
 def test_detect_calls_the_detectors_by_module_name(monkeypatch):

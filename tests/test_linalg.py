@@ -1,5 +1,7 @@
 """Tests for the instrumented linear-algebra kernel."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,17 @@ class TestGaussInvert:
             gauss_invert(a, FlopCounter())
         assert exc_info.value.column in (0, 1)
         assert "pivot column" in str(exc_info.value)
+
+    def test_singular_error_survives_pickling(self):
+        # a worker process's error reaches the parent pickled
+        a = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
+        with pytest.raises(SingularMatrixError) as exc_info:
+            gauss_invert(a, FlopCounter())
+        sent = exc_info.value
+        received = pickle.loads(pickle.dumps(sent))
+        assert type(received) is SingularMatrixError
+        assert (received.column, received.magnitude) == (sent.column, sent.magnitude)
+        assert str(received) == str(sent)
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatchError):

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Write the reference outputs of this checkout's package to OUTDIR, one CSV per
+# Write the reference outputs of this checkout's package to OUTDIR, one file per
 # command.  Byte identity between two checkouts (or two --jobs values) is then
 #
 #     tools/reference_outputs.sh /tmp/a && other/tools/reference_outputs.sh /tmp/b
@@ -7,6 +7,9 @@
 #
 # The rho-sweep command is the benchmark's selectivity sweep at seed 0; it is
 # written at --jobs 1 and --jobs 2, and the two files must be identical.
+# The commands after it are cheap runs of each way a setting can be given: a
+# --config file, MIMO_SLAS_SEED, a preset with overriding flags, --format json.
+# The config files they read are written to OUTDIR as well.
 set -eu
 if [ $# -ne 1 ]; then
     echo "usage: $0 OUTDIR" >&2
@@ -16,11 +19,14 @@ root=$(cd "$(dirname "$0")/.." && pwd)
 out=$1
 mkdir -p "$out"
 
+run() {
+    PYTHONPATH="$root/src${PYTHONPATH:+:$PYTHONPATH}" python3 -m mimo_slas.cli "$@"
+}
+
 cli() {
     name=$1
     shift
-    PYTHONPATH="$root/src${PYTHONPATH:+:$PYTHONPATH}" \
-        python3 -m mimo_slas.cli "$@" --out "$out/$name.csv" >/dev/null
+    run "$@" --out "$out/$name.csv" >/dev/null
 }
 
 cli ber-snr-8x8 ber-snr --nt 8 --nr 8 --detector all --las both \
@@ -39,3 +45,33 @@ for jobs in 1 2; do
         --rho-list 0.8,0.85,0.9,0.95,1,1.05,1.1,1.15,1.2 --detector mf \
         --steps 90 --trials 100000 --min-errors 25 --seed 0 --jobs "$jobs"
 done
+
+printf '%s\n' '{"nt": 6, "nr": 8, "snr_db": [0, 5], "detector": "mmse",' \
+    ' "las_enabled": true, "rho": [0.9, 1.0], "n_f": 24, "max_trials": 400,' \
+    ' "min_bit_errors": 50, "master_seed": 4}' >"$out/config-ber-snr.json"
+cli config-ber-snr ber-snr --config "$out/config-ber-snr.json"
+# ber-rho pairs nr with nt, so the config's nr is not read
+printf '%s\n' '{"nt": [4, 8], "nr": [1, 1], "snr_db": [5], "rho": [0.9, 1.1],' \
+    ' "n_f": 16, "max_trials": 300, "master_seed": 2}' >"$out/config-ber-rho.json"
+cli config-ber-rho ber-rho --config "$out/config-ber-rho.json" --min-errors 40
+printf '%s\n' '{"nt": 12, "nr": 16, "snr_db": [0, 10], "rho": [0.9],' \
+    ' "detector": "zf", "n_f": 24, "max_trials": 30, "master_seed": 6}' \
+    >"$out/config-trace.json"
+cli config-trace trace --config "$out/config-trace.json" --rho-list 0.8,1
+(
+    # the environment's seed beats the config file's
+    MIMO_SLAS_SEED=8
+    export MIMO_SLAS_SEED
+    cli env-seed ber-snr --config "$out/config-ber-snr.json" --nt 8 --nr 8 \
+        --snr-list 5 --detector zf --las both --trials 300 --min-errors 30
+)
+cli preset-fig2 ber-antennas --preset fig2 --n-list 2,4 --snr 5 --detector mf \
+    --steps 8 --trials 300 --min-errors 40 --seed 1
+cli preset-fig3 trace --preset fig3 --nt 8 --nr 8 --steps 16 --trials 20 --seed 1
+cli preset-fig8 ber-rho --preset fig8 --n-list 8 --steps 16 --trials 200 \
+    --min-errors 20 --seed 1
+cli preset-fig9 flops --preset fig9 --n-list 2,8 --steps-list 4,16 --seed 2
+run ber-snr --nt 4 --nr 4 --snr-list 0,10 --detector all --las on --rho 0.9 \
+    --steps 8 --trials 200 --min-errors 20 --seed 5 --format json \
+    --out "$out/ber-snr-json.json" >/dev/null
+run selfcheck --instances 9 >"$out/selfcheck.txt"
