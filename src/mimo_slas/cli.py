@@ -254,7 +254,6 @@ def _settings(args, parser) -> dict:
         settings.update(PRESETS[preset][1])
     settings.update({key: value for key, value in vars(args).items()
                      if key in DEFAULTS[command] and value is not None})
-    settings["master_seed"] = int(settings["master_seed"])
     if command in ("ber-rho", "trace"):
         # a selectivity sweep or a step trace is meaningless without the search
         settings["las_enabled"] = True

@@ -13,21 +13,35 @@ BER cell.
 Stopping rule: a point runs trials in index order until the cumulative bit
 errors reach ``min_bit_errors`` or ``max_trials`` is exhausted; a point that
 exhausts the cap below the error floor is flagged, not hidden.
+
+Execution: cells that differ only in rho form a group and run over shared
+chunks of ``_CHUNK`` trial indices, the unit of the process pool and of the
+stop scan.  A chunk runs in blocks of consecutive trials.  Each trial of a
+block is drawn, detected and precomputed once, in index order, for all the
+group's cells, and one :func:`~mimo_slas.slas.run` call searches every
+(trial, cell) row of the block.  A block's trial count comes from one byte
+budget, ``_BLOCK_BYTES`` (1 MiB: about 60 trials of nine cells at 32x32,
+seven trials at 128x128); a block never crosses a chunk, and no output
+depends on its size.  :func:`trial` stays the unit of work: every counted
+(cell, trial) pair is one call, and the block is computed by the first call
+that needs it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .channel import ChannelInstance, SnrSpec, assemble, sample_bpsk, sample_channel
-from .detectors import DetectorKind, detect, slice_bpsk
+from .detectors import DetectorKind, HardDecision, detect, slice_bpsk
 from .linalg import SingularMatrixError
-from .slas import SlasTrace, precompute, run
+from .slas import SlasBlock, SlasTrace, SlasWorkspace, precompute, run
 
 __all__ = [
     "PointSpec",
@@ -46,9 +60,14 @@ __all__ = [
 
 MAX_GRID_POINTS = 10_000
 _CHUNK = 512
-# One trial's shared stages, {key: (instance, linear decision, workspace)}:
-# at most one entry, emptied at the end of every chunk.
+# What one block of searches may hold: its trials' stacked H_real and the
+# state of its (trial, rho) rows (see _trial_bytes).
+_BLOCK_BYTES = 1 << 20
+# The outcomes of the current block, {(point, trial_index): outcome}, and the
+# chunk being run, [(cells, start, stop)]; both are emptied at the end of
+# every chunk.
 _SHARED: dict = {}
+_PLAN: list = []
 
 
 @dataclass(frozen=True)
@@ -96,6 +115,24 @@ def _normalize(value, kind) -> tuple:
     return (kind(value),)
 
 
+def _integer(name: str):
+    """Checker for an integer field: integral numbers pass as int, anything
+    else (a fraction, a string, a bool) is a ValueError naming the value."""
+    def check(value) -> int:
+        if isinstance(value, numbers.Integral) and not isinstance(value, (bool, np.bool_)):
+            return int(value)
+        if isinstance(value, (float, np.floating)) and float(value).is_integer():
+            return int(value)
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return check
+
+
+def _flag(value) -> bool:
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    raise ValueError(f"las_enabled entries must be true or false, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Sweep description.  nt/nr are zipped (paired antenna counts); the
@@ -115,14 +152,16 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "nt", _normalize(self.nt, int))
-        object.__setattr__(self, "nr", _normalize(self.nr, int))
+        object.__setattr__(self, "nt", _normalize(self.nt, _integer("nt")))
+        object.__setattr__(self, "nr", _normalize(self.nr, _integer("nr")))
         object.__setattr__(self, "snr_db", _normalize(self.snr_db, float))
         object.__setattr__(self, "rho", _normalize(self.rho, float))
         object.__setattr__(
             self, "detector", _normalize(self.detector, DetectorKind)
         )
-        object.__setattr__(self, "las_enabled", _normalize(self.las_enabled, bool))
+        object.__setattr__(self, "las_enabled", _normalize(self.las_enabled, _flag))
+        for name in ("n_f", "max_trials", "min_bit_errors", "master_seed"):
+            object.__setattr__(self, name, _integer(name)(getattr(self, name)))
         if len(self.nt) != len(self.nr):
             raise ValueError(
                 f"nt and nr lists are zipped and must have equal length, "
@@ -232,40 +271,117 @@ def trial(
 
     Pure in (master_seed, trial_index) for fixed cell parameters.  When the
     search runs at rho >= 1 the ascent property (the likelihood never drops
-    from one step to the next) is asserted on every trial.
+    from one step to the next) is asserted on every trial.  A numerically
+    singular channel raises :class:`~mimo_slas.linalg.SingularMatrixError`.
 
-    The draw, detection, slicing and workspace do not depend on rho or n_f;
-    they are kept for the last trial key seen, so cells that differ only in
-    rho compute them once per trial index.  None of them is ever mutated.
+    Trials run in blocks (see :func:`_block`).  Inside a chunk planned by
+    ``_ber_chunk``/``_trace_chunk``, the first call for a trial that has no
+    outcome yet computes the block that starts there, for every cell of the
+    chunk, and the calls after it read their outcome from the block; any
+    other call is a block of one.  An outcome is the same in every block.
     """
-    key = (point.master_seed, point.nt, point.nr, point.snr_db, point.detector,
-           point.las_enabled, trial_index)
-    shared = _SHARED.get(key)
-    if shared is None:
-        _SHARED.clear()  # drop the previous trial's inputs before drawing new ones
-        inst = draw(point.master_seed, point.nt, point.nr, point.snr_db, trial_index)
-        soft = detect(point.detector, inst.h, inst.y, SnrSpec(point.snr_db))
-        ws = precompute(inst.h, inst.y) if point.las_enabled else None
-        shared = _SHARED[key] = (inst, slice_bpsk(soft), ws)
-    inst, decision, ws = shared
+    outcome = _SHARED.get((point, trial_index))
+    if outcome is None:
+        cells, stop = (point,), trial_index + 1
+        if _PLAN:
+            planned, start, end = _PLAN[0]
+            if point in planned and start <= trial_index < end:
+                cells, stop = planned, min(end, trial_index + _block_trials(planned))
+        _SHARED.clear()  # drop the previous block before computing the next
+        _SHARED.update(_block(cells, trial_index, stop))
+        outcome = _SHARED[(point, trial_index)]
+    if isinstance(outcome, SingularMatrixError):
+        raise outcome.with_traceback(None)
+    errors, block, row = outcome
+    return errors, (block.row(row) if record_trace and block is not None else None)
 
-    trace = None
-    if point.las_enabled:
-        decision, trace = run(
-            ws, decision, point.rho, point.n_f, b_true=inst.b_true
+
+def _trial_bytes(nt: int, cells: int) -> int:
+    """Bytes a block holds per trial: its H_real and, per row, the search's
+    bits, gradient, thresholds and visit schedule."""
+    return 8 * nt * (nt + 4 * cells)
+
+
+def _block_trials(cells: tuple[PointSpec, ...]) -> int:
+    return max(1, _BLOCK_BYTES // _trial_bytes(cells[0].nt, len(cells)))
+
+
+def _block(cells: tuple[PointSpec, ...], start: int, stop: int) -> dict:
+    """Outcomes of trials [start, stop) of cells that differ only in rho.
+
+    The draw, detection and workspace of each trial are computed once, in
+    trial order, and shared by the cells; a trial whose detection is singular
+    is drawn once and marked aborted in every cell.  One :func:`run` then
+    searches every (trial, cell) row.  Each workspace is copied into the
+    block's stacked arrays and not kept.
+    """
+    p = cells[0]
+    snr = SnrSpec(p.snr_db)
+    outcomes: dict = {}
+    searched: list[int] = []  # trials with a workspace, in stacking order
+    if p.las_enabled:
+        n, nt = stop - start, p.nt
+        y_eff, zeta, bits, truth = (np.empty((n, nt)) for _ in range(4))
+        h_real = np.empty((n, nt, nt))
+    for i in range(start, stop):
+        inst = draw(p.master_seed, p.nt, p.nr, p.snr_db, i)
+        try:
+            decision = slice_bpsk(detect(p.detector, inst.h, inst.y, snr))
+        except SingularMatrixError as exc:
+            outcomes.update(((c, i), exc) for c in cells)
+            continue
+        if not p.las_enabled:
+            errors = int(np.count_nonzero(decision.bits != inst.b_true))
+            outcomes.update(((c, i), (errors, None, None)) for c in cells)
+            continue
+        ws = precompute(inst.h, inst.y)
+        k = len(searched)
+        searched.append(i)
+        y_eff[k], h_real[k], zeta[k] = ws.y_eff, ws.h_real, ws.zeta_base
+        bits[k], truth[k] = decision.bits, inst.b_true
+    if searched:
+        k = len(searched)
+        ws = SlasWorkspace(y_eff=y_eff[:k], h_real=h_real[:k], zeta_base=zeta[:k])
+        final, block = run(ws, HardDecision(bits=bits[:k]), [c.rho for c in cells], p.n_f,
+                           b_true=truth[:k])
+        _check_ascent(block, cells, searched)
+        wrong = final.bits != np.repeat(truth[:k], len(cells), axis=0)
+        for row, errors in enumerate(np.count_nonzero(wrong, axis=1).tolist()):
+            outcomes[cells[row % len(cells)], searched[row // len(cells)]] = (errors, block, row)
+    return outcomes
+
+
+def _check_ascent(block: SlasBlock, cells: tuple[PointSpec, ...], trials: list[int]) -> None:
+    """At rho >= 1 no flip may lower a row's likelihood; raise naming the
+    first (in trial, then cell order) that does."""
+    ascent = np.array([c.rho >= 1.0 for c in cells])
+    if not ascent.any():
+        return
+    rows = block.flip_row
+    lam = block.flip_likelihood
+    before = np.concatenate(([0.0], lam[:-1]))
+    opens = block.offsets[rows] == np.arange(rows.size)  # a row's first flip
+    before[opens] = block.initial_likelihood[rows[opens]]
+    dips = np.flatnonzero((lam - before < -1e-9) & ascent[rows % len(cells)])
+    if dips.size:
+        q = dips[0]
+        cell, index = cells[rows[q] % len(cells)], trials[rows[q] // len(cells)]
+        raise AssertionError(
+            f"likelihood decreased at rho={cell.rho} "
+            f"(seed={cell.master_seed}, trial={index}, step {block.flip_step[q]}): "
+            f"{before[q]} -> {lam[q]}"
         )
-        if point.rho >= 1.0:
-            lam = np.concatenate(([trace.initial_likelihood], trace.likelihood))
-            dips = np.flatnonzero(np.diff(lam) < -1e-9)
-            if dips.size:
-                k = int(dips[0])
-                raise AssertionError(
-                    f"likelihood decreased at rho={point.rho} "
-                    f"(seed={point.master_seed}, trial={trial_index}, step {k}): "
-                    f"{lam[k]} -> {lam[k + 1]}"
-                )
-    errors = int(np.count_nonzero(decision.bits != inst.b_true))
-    return errors, (trace if record_trace else None)
+
+
+@contextmanager
+def _planned(cells: list[PointSpec], start: int, stop: int):
+    """Let :func:`trial` compute whole blocks of this chunk's cells and trials."""
+    _PLAN.append((tuple(cells), start, stop))
+    try:
+        yield
+    finally:
+        _PLAN.clear()
+        _SHARED.clear()
 
 
 def _ber_chunk(points: list[PointSpec], start: int, stop: int) -> np.ndarray:
@@ -273,15 +389,13 @@ def _ber_chunk(points: list[PointSpec], start: int, stop: int) -> np.ndarray:
     index-major so that the cells share each trial's inputs; -1 marks an
     aborted trial."""
     out = np.empty((len(points), stop - start), dtype=np.int64)
-    try:
+    with _planned(points, start, stop):
         for i in range(start, stop):
             for row, point in enumerate(points):
                 try:
                     out[row, i - start] = trial(point, i)[0]
                 except SingularMatrixError:
                     out[row, i - start] = -1
-    finally:
-        _SHARED.clear()
     return out
 
 
@@ -374,15 +488,13 @@ def run_sweep(cfg: ExperimentConfig, n_jobs: int = 1) -> list[BerPoint]:
 def _trace_chunk(point: PointSpec, start: int, stop: int):
     lams = np.empty((stop - start, point.n_f + 1), dtype=np.float64)
     errs = np.empty((stop - start, point.n_f + 1), dtype=np.int64)
-    try:
+    with _planned([point], start, stop):
         for i in range(start, stop):
             _, tr = trial(point, i, record_trace=True)
             lams[i - start, 0] = tr.initial_likelihood
             lams[i - start, 1:] = tr.likelihood
             errs[i - start, 0] = tr.initial_bit_errors
             errs[i - start, 1:] = tr.bit_errors
-    finally:
-        _SHARED.clear()
     return lams, errs
 
 

@@ -1,8 +1,10 @@
 """Randomized property suite that replays the search kernel behind every BER.
 
-Each instance runs :func:`mimo_slas.slas.run` at selectivity factor 1 and
-walks its trace with direct recomputation only (``gradient_full``,
-``likelihood``) up to the first full silent pass.  Checks per instance:
+The instances of each antenna count run as one block of
+:func:`mimo_slas.slas.run` at selectivity factor 1, as the Monte-Carlo
+trials do, and each instance's row of the block is walked with direct
+recomputation only (``gradient_full``, ``likelihood``) up to the first full
+silent pass.  Checks per instance:
 
 * monotone    — the recomputed likelihood never drops across a recorded flip,
 * improves    — the final likelihood is >= the initializer's,
@@ -22,14 +24,14 @@ exits 1).  This keeps the suite itself testable.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import SnrSpec, assemble, sample_bpsk, sample_channel
-from .detectors import DetectorKind, detect, slice_bpsk
+from .detectors import DetectorKind, HardDecision, detect, slice_bpsk
 from .oracle import is_local_optimum, ml_bruteforce
-from .slas import gradient_full, likelihood, precompute, run
+from .slas import SlasTrace, SlasWorkspace, gradient_full, likelihood, precompute, run
 
 __all__ = ["CheckCounts", "run_selfcheck", "CHECK_NAMES"]
 
@@ -56,9 +58,8 @@ class CheckCounts:
                 self.first_failure = instance
 
 
-def _check_instance(
-    instance: int, seed: int, fault: str | None, results: dict[str, CheckCounts]
-) -> None:
+def _instance(instance: int, seed: int):
+    """Workspace and initial decision of one instance, from its own seed."""
     nt = _NT_AXIS[instance % 3]
     snr = SnrSpec(_SNR_AXIS[(instance // 3) % 3])
     det = _DETECTOR_AXIS[(instance // 9) % 3]
@@ -68,11 +69,34 @@ def _check_instance(
     b_true = sample_bpsk(nt, snr.es, rng)
     inst = assemble(h, b_true, snr, rng)
     b0 = slice_bpsk(detect(det, inst.h, inst.y, snr))
+    return precompute(inst.h, inst.y), b0
 
-    ws = precompute(inst.h, inst.y)
-    kernel_ws = replace(ws, h_real=-ws.h_real) if fault == "grad-sign" else ws
-    _, trace = run(kernel_ws, b0, 1.0, 64 * nt)
 
+def _traces(cases: list, fault: str | None) -> list[SlasTrace]:
+    """Each instance's trace at rho = 1 over 64 passes, from one block of the
+    kernel per antenna count."""
+    traces = [None] * len(cases)
+    sign = -1.0 if fault == "grad-sign" else 1.0
+    for nt in _NT_AXIS:
+        index = [i for i, (ws, _) in enumerate(cases) if ws.nt == nt]
+        if not index:
+            continue
+        stacked = SlasWorkspace(
+            y_eff=np.stack([cases[i][0].y_eff for i in index]),
+            h_real=sign * np.stack([cases[i][0].h_real for i in index]),
+            zeta_base=np.stack([cases[i][0].zeta_base for i in index]),
+        )
+        b0 = HardDecision(bits=np.stack([cases[i][1].bits for i in index]))
+        _, block = run(stacked, b0, [1.0], 64 * nt)
+        for row, i in enumerate(index):
+            traces[i] = block.row(row)
+    return traces
+
+
+def _check_instance(
+    instance: int, ws, b0, trace: SlasTrace, results: dict[str, CheckCounts]
+) -> None:
+    nt = ws.nt
     b = b0.bits.copy()
     initial = previous = likelihood(ws, b)
     monotone_ok = gradient_ok = True
@@ -123,8 +147,9 @@ def run_selfcheck(
         raise ValueError(f"unknown fault: {inject_fault!r}")
     stream = stream or sys.stdout
     results = {name: CheckCounts() for name in CHECK_NAMES}
-    for instance in range(instances):
-        _check_instance(instance, seed, inject_fault, results)
+    cases = [_instance(instance, seed) for instance in range(instances)]
+    for instance, trace in enumerate(_traces(cases, inject_fault)):
+        _check_instance(instance, *cases[instance], trace, results)
 
     print(
         f"selfcheck: {instances} instances, master seed {seed}"

@@ -30,11 +30,22 @@ incremental updates; the standalone ``likelihood``/``gradient_full``
 recomputations exist so that tests and :mod:`mimo_slas.selfcheck` can replay
 its trace step by step against direct evaluation.
 
+:func:`run` searches a block of rows at once: T trials stacked along a
+leading axis of the workspace, each searched at R values of rho.  Every
+row's bits, gradient and likelihood go through the same IEEE operations, in
+the same order, as a search run alone, so a row's record is byte for byte
+that of a block of one row, which is what a single search is.  The block
+skips the steps on which no row can flip (see :func:`_search`) and records
+only flips; :class:`SlasBlock` expands a row into its per-step
+:class:`SlasTrace`.
+
 Antenna indices are 0-based everywhere.
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +63,7 @@ from .linalg import (
 __all__ = [
     "SlasWorkspace",
     "SlasTrace",
+    "SlasBlock",
     "precompute",
     "likelihood",
     "gradient_full",
@@ -62,15 +74,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SlasWorkspace:
-    """Receiver-side quantities shared by every step of a search."""
+    """Receiver-side quantities shared by every step of a search.  A block of
+    trials stacks them along a leading trial axis."""
 
-    y_eff: np.ndarray    # (nt,) real
-    h_real: np.ndarray   # (nt, nt) real, symmetric
-    zeta_base: np.ndarray  # (nt,) real, |diag(h_real)|
+    y_eff: np.ndarray    # (nt,) real, or (trials, nt)
+    h_real: np.ndarray   # (nt, nt) real, symmetric, or (trials, nt, nt)
+    zeta_base: np.ndarray  # (nt,) real, |diag(h_real)|, or (trials, nt)
 
     @property
     def nt(self) -> int:
-        return self.y_eff.shape[0]
+        return self.y_eff.shape[-1]
 
 
 @dataclass
@@ -94,6 +107,68 @@ class SlasTrace:
     steps_run: int
     converged: bool
     final_gradient: np.ndarray
+
+
+@dataclass(frozen=True)
+class SlasBlock:
+    """Record of a block of searches; row ``t * R + c`` is trial t searched at
+    the c-th of R rho values.
+
+    Only flips are recorded.  Record q is a flip of row ``flip_row[q]`` at
+    step ``flip_step[q]``, after which the row's likelihood is
+    ``flip_likelihood[q]`` and its bit errors ``flip_bit_errors[q]`` (None
+    without a true payload); row i's records are ``offsets[i]:offsets[i+1]``,
+    in step order.  ``flips`` and ``steps_run`` are totals over the rows.
+    :meth:`row` expands one row into its :class:`SlasTrace`.
+    """
+
+    n_f: int
+    final_bits: np.ndarray          # (rows, nt)
+    final_gradient: np.ndarray      # (rows, nt)
+    initial_likelihood: np.ndarray  # (rows,)
+    initial_bit_errors: np.ndarray | None  # (rows,)
+    flip_row: np.ndarray
+    flip_step: np.ndarray
+    flip_likelihood: np.ndarray
+    flip_bit_errors: np.ndarray | None
+    offsets: np.ndarray             # (rows + 1,)
+
+    @property
+    def flips(self) -> int:
+        return int(self.flip_row.size)
+
+    @property
+    def steps_run(self) -> int:
+        return self.final_bits.shape[0] * self.n_f
+
+    def row(self, i: int) -> SlasTrace:
+        """The per-step trace of row ``i``."""
+        n_f, nt = self.n_f, self.final_bits.shape[1]
+        first, last = self.offsets[i], self.offsets[i + 1]
+        steps = self.flip_step[first:last]
+        flipped = np.zeros(n_f, dtype=bool)
+        flipped[steps] = True
+        done = flipped.cumsum()  # flips up to and including each step
+        lams = np.concatenate(([self.initial_likelihood[i]], self.flip_likelihood[first:last]))
+        errs = None
+        if self.initial_bit_errors is not None:
+            errs = np.concatenate(([self.initial_bit_errors[i]],
+                                   self.flip_bit_errors[first:last])).astype(np.int32)[done]
+        flips = int(last - first)
+        silent = n_f - int(steps[-1]) - 1 if flips else n_f  # steps since the last flip
+        return SlasTrace(
+            antenna=np.arange(n_f, dtype=np.int32) % nt,
+            likelihood=lams[done],
+            flipped=flipped,
+            bit_errors=errs,
+            final_bits=self.final_bits[i],
+            initial_likelihood=float(self.initial_likelihood[i]),
+            initial_bit_errors=None if errs is None else int(self.initial_bit_errors[i]),
+            flips=flips,
+            steps_run=n_f,
+            converged=silent >= nt,
+            final_gradient=self.final_gradient[i],
+        )
 
 
 def precompute(
@@ -140,95 +215,166 @@ def full_recompute_step_flops(nt: int) -> int:
 def run(
     ws: SlasWorkspace,
     b0: HardDecision,
-    rho: float,
+    rho: float | Sequence[float],
     n_f: int,
     b_true: np.ndarray | None = None,
     counter: FlopCounter | None = None,
-) -> tuple[HardDecision, SlasTrace]:
-    """Run n_f sequential steps from the initial decision ``b0``.
+) -> tuple[HardDecision, SlasTrace | SlasBlock]:
+    """Run n_f sequential steps from the initial decision ``b0``, for one
+    search or for a block of them.
+
+    A block stacks T trials along a leading axis of the workspace, ``b0`` and
+    ``b_true`` and gives ``rho`` as a sequence of R values; its rows are the
+    T*R (trial, rho) pairs, trial-major (see :class:`SlasBlock`).  A 1-D
+    workspace with a scalar ``rho`` is a block of one row.
 
     Args:
-        ws: precomputed workspace.
+        ws: precomputed workspace, one trial or a stack of trials.
         b0: initial hard decision (the linear detector's output).
         rho: selectivity factor; the threshold is rho * zeta.
         n_f: number of steps (antenna visits); 0 is allowed.
         b_true: optional true payload (+-1); enables bit-error tracking.
-        counter: optional flop counter, charged what the run does: the
+        counter: optional flop counter, charged what each row does: the
             initial gradient 2*nt^2, the thresholds nt, and 2*nt + 1 per
             accepted flip.
 
     Returns:
-        (final hard decision, trace).
+        (final hard decision, :class:`SlasTrace`) for a single search;
+        (final decisions of shape (rows, nt), :class:`SlasBlock`) for a block.
     """
     if n_f < 0:
         raise ValueError(f"n_f must be >= 0, got {n_f}")
-    if rho < 0:
+    rhos = np.asarray(rho, dtype=np.float64)
+    if np.any(rhos < 0):
         raise ValueError(f"rho must be >= 0, got {rho}")
-    nt = ws.nt
-    b = np.asarray(b0.bits, dtype=np.float64).copy()
-    if b.shape != (nt,):
-        raise ValueError(f"b0 has shape {b.shape}, workspace expects ({nt},)")
-
-    g = ws.y_eff - ws.h_real @ b
-    lam = 0.5 * float(b @ ws.y_eff + b @ g)
-    thresholds = (rho * ws.zeta_base).tolist()
-
-    err: int | None = None
-    truth: list | None = None
-    if b_true is not None:
-        truth_array = np.asarray(b_true, dtype=np.float64)
-        err = int(np.count_nonzero(b != truth_array))
-        truth = truth_array.tolist()
-
-    # The loop steps on Python floats: the same IEEE operations, in the same
-    # order, as on numpy scalars, at a fraction of the per-step overhead.
-    # The likelihood and error count change only on a flip, so only flips
-    # are recorded; the per-step arrays are expanded from them at the end.
-    h_real = ws.h_real
-    diag = h_real.diagonal().tolist()
-    bits = b.tolist()
-    grad = g.tolist()
-    initial_lam = lam
-    initial_err = err
-    flip_steps: list[int] = []
-    lams = [lam]
-    errs = [err]
-    for k in range(n_f):
-        j = k % nt
-        bj = bits[j]
-        gj = grad[j]
-        if gj > thresholds[j] if bj == -1.0 else gj < -thresholds[j]:
-            lam += -2.0 * bj * gj - 2.0 * diag[j]
-            g += (2.0 * bj) * h_real[j]
-            grad = g.tolist()
-            bits[j] = b[j] = -bj
-            if err is not None:
-                err += 1 if -bj != truth[j] else -1
-            flip_steps.append(k)
-            lams.append(lam)
-            errs.append(err)
-    flips = len(flip_steps)
-    silent = n_f - flip_steps[-1] - 1 if flips else n_f  # steps since the last flip
-    flipped = np.zeros(n_f, dtype=bool)
-    flipped[flip_steps] = True
-    done = flipped.cumsum()  # flips up to and including each step
+    bits = np.asarray(b0.bits, dtype=np.float64)
+    if bits.shape != ws.y_eff.shape:
+        raise ValueError(f"b0 has shape {bits.shape}, workspace expects {ws.y_eff.shape}")
+    single = bits.ndim == 1 and rhos.ndim == 0
+    y_eff = ws.y_eff.reshape(-1, ws.nt)
+    h_real = ws.h_real.reshape(-1, ws.nt, ws.nt)
+    bits = bits.reshape(y_eff.shape)
+    rhos = rhos.reshape(-1)
+    block = _search(y_eff, h_real, ws.zeta_base.reshape(y_eff.shape), bits, rhos, n_f,
+                    None if b_true is None
+                    else np.asarray(b_true, dtype=np.float64).reshape(y_eff.shape))
 
     if counter is not None:
-        counter.charge(additions=nt * nt, multiplications=nt * nt)  # initial gradient
-        counter.charge(multiplications=nt)  # thresholds rho * zeta
+        rows, nt, flips = block.final_bits.shape[0], ws.nt, block.flips
+        counter.charge(additions=rows * nt * nt, multiplications=rows * nt * nt)  # initial gradients
+        counter.charge(multiplications=rows * nt)  # thresholds rho * zeta
         counter.charge(additions=flips * nt, multiplications=flips * (nt + 1))
 
-    trace = SlasTrace(
-        antenna=np.arange(n_f, dtype=np.int32) % nt,
-        likelihood=np.array(lams, dtype=np.float64)[done],
-        flipped=flipped,
-        bit_errors=None if err is None else np.array(errs, dtype=np.int32)[done],
+    if single:
+        trace = block.row(0)
+        return HardDecision(bits=trace.final_bits), trace
+    return HardDecision(bits=block.final_bits), block
+
+
+@functools.lru_cache(maxsize=8)
+def _visits_after(nt: int) -> np.ndarray:
+    """``after[j, k]``: steps from a visit of antenna j to the next visit of k."""
+    visit = np.arange(nt)
+    after = (visit[None, :] - visit[:, None] - 1) % nt + 1
+    after.flags.writeable = False
+    return after
+
+
+def _search(y_eff, h_real, zeta, bits, rhos, n_f, truth) -> SlasBlock:
+    """The flip rule and both incremental updates over every row of a block.
+
+    Between two flips a row's state is frozen, so its next flip is the first
+    antenna, in visiting order after its last flip, whose test fires on that
+    state.  Each round moves every row still searching to its next flip, or
+    retires it when nothing fires or the next firing visit is past n_f, and
+    applies the flips with one set of numpy operations over the rows.  Each
+    row performs the IEEE operations of the step-by-step loop, in its order:
+
+    * the test ``g_j > rho * zeta_j`` for b_j = -1, ``g_j < -rho * zeta_j``
+      for b_j = +1, here as ``b_j * g_j < -(rho * zeta_j)``;
+    * ``lam += (-2 * b_j) * g_j - 2 * (H_real)_jj``, here as
+      ``lam -= (2 * b_j) * g_j + 2 * (H_real)_jj``, the same roundings
+      negated (round to nearest is symmetric);
+    * ``g += (2 * b_j) * (H_real row j)``, with the pre-flip bit.
+    """
+    trials, nt = y_eff.shape
+    cells = rhos.size
+    n_rows = trials * cells
+    # the start stays per trial and 1-D: a stacked product may sum in another order
+    g0 = np.empty((trials, nt))
+    lam0 = np.empty(trials)
+    for t in range(trials):
+        b = bits[t]
+        g0[t] = g = y_eff[t] - h_real[t] @ b
+        lam0[t] = 0.5 * float(b @ y_eff[t] + b @ g)
+    trial_of = np.repeat(np.arange(trials), cells)
+    b = bits[trial_of]
+    g = g0[trial_of]
+    initial_lam = lam0[trial_of]
+    below = -(rhos[None, :, None] * zeta[:, None, :]).reshape(n_rows, nt)
+    h_rows = h_real.reshape(-1, nt)  # row t * nt + j is row j of trial t's H_real
+    diag2 = 2.0 * np.diagonal(h_real, axis1=1, axis2=2).reshape(-1)
+
+    # The searching rows' state, compacted; a row that retires writes back
+    # its bits and gradient.  ``last`` is the antenna of each row's last flip
+    # (nt - 1 at step -1, so that the first visit is antenna 0 at step 0),
+    # and ``first`` the index of each row's entry 0 in the flattened state.
+    after = _visits_after(nt)
+    live = np.arange(n_rows) if n_f else np.arange(0)
+    base, step, last = trial_of * nt, np.full(n_rows, -1), np.full(n_rows, nt - 1)
+    b_, g_, lam_, below_ = b.copy(), g.copy(), initial_lam.copy(), below
+    first = live * nt
+    records = []  # per round: (rows, steps, pre-flip bits, likelihoods after the flip)
+    while live.size:
+        wait = np.where(b_ * g_ < below_, after.take(last, axis=0), n_f + 1)
+        j = wait.argmin(axis=1)
+        step = step + wait.take(first + j)
+        going = step < n_f
+        if not going.all():
+            stay, gone = np.flatnonzero(going), ~going
+            b[live[gone]], g[live[gone]] = b_[gone], g_[gone]
+            live, base, step, j, b_, g_, lam_, below_ = (
+                x[stay] for x in (live, base, step, j, b_, g_, lam_, below_))
+            first = np.arange(0, live.size * nt, nt)
+            if not live.size:
+                break
+        at = first + j
+        row = base + j
+        bj = b_.take(at)
+        twice_bj = 2.0 * bj
+        lam_ -= twice_bj * g_.take(at) + diag2.take(row)
+        g_ += twice_bj[:, None] * h_rows.take(row, axis=0)
+        np.put(b_, at, -bj)
+        last = j
+        records.append((live, step, bj, lam_.copy()))
+
+    if records:
+        flip_row, flip_step, flip_bit, flip_lam = map(np.concatenate, zip(*records))
+        order = np.argsort(flip_row, kind="stable")  # rounds are in step order within a row
+        flip_row, flip_step, flip_bit, flip_lam = (
+            x[order] for x in (flip_row, flip_step, flip_bit, flip_lam))
+    else:
+        flip_row = flip_step = np.zeros(0, dtype=np.int64)
+        flip_bit = flip_lam = np.zeros(0)
+    offsets = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flip_row, minlength=n_rows), out=offsets[1:])
+    initial_err = flip_err = None
+    if truth is not None:
+        initial_err = np.count_nonzero(bits != truth, axis=1)[trial_of]
+        # each flip changes the row's error count by one: up when the new bit is wrong
+        wrong = -flip_bit != truth[trial_of[flip_row], flip_step % nt]
+        change = np.cumsum(np.where(wrong, 1, -1))
+        before = np.concatenate(([0], change))[offsets[:-1]]  # changes before each row
+        flip_err = initial_err[flip_row] + change - before[flip_row]
+    return SlasBlock(
+        n_f=n_f,
         final_bits=b,
+        final_gradient=g,
         initial_likelihood=initial_lam,
         initial_bit_errors=initial_err,
-        flips=flips,
-        steps_run=n_f,
-        converged=silent >= nt,
-        final_gradient=g,
+        flip_row=flip_row,
+        flip_step=flip_step,
+        flip_likelihood=flip_lam,
+        flip_bit_errors=flip_err,
+        offsets=offsets,
     )
-    return HardDecision(bits=b), trace

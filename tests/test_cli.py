@@ -247,6 +247,31 @@ class TestConfigFile:
             main(["ber-snr", "--config", "/nonexistent/cfg.json"])
         assert exc_info.value.code == 2
 
+    # A config value of the wrong type exits 2 naming it, before any trial runs:
+    # ["off"] once read as las=on, 2.5 died in the sweep with a TypeError (exit
+    # 1), and 4.5 antennas or seed 2.5 were truncated to 4 and 2.
+    @pytest.mark.parametrize("key,value,message", [
+        ("las_enabled", ["off"], "las_enabled entries must be true or false, got 'off'"),
+        ("n_f", 2.5, "n_f must be an integer, got 2.5"),
+        ("nt", 4.5, "nt must be an integer, got 4.5"),
+        ("nr", [4.5], "nr must be an integer, got 4.5"),
+        ("max_trials", "20", "max_trials must be an integer, got '20'"),
+        ("min_bit_errors", 1.5, "min_bit_errors must be an integer, got 1.5"),
+        ("master_seed", 2.5, "master_seed must be an integer, got 2.5"),
+    ])
+    def test_config_value_of_wrong_type_exits_2(self, key, value, message, capsys, tmp_path):
+        config = {"nt": 4, "nr": 4, "snr_db": 0, "detector": "mf", "las_enabled": True,
+                  "max_trials": 20}
+        config[key] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as exc_info:
+            main(["ber-snr", "--config", str(cfg)])
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
     # Each config axis may be a scalar or a list, for every command; ber-rho
     # pairs nr with the config's nt.
     @pytest.mark.parametrize("config,argv,column,expected", [

@@ -1,6 +1,7 @@
 """Monte-Carlo harness tests: seed discipline, worker-count invariance,
 stopping behavior, and the sweep grid."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -116,18 +117,20 @@ class TestTrial:
             assert tr.initial_bit_errors == lin_errors
 
     def test_likelihood_dip_inside_a_run_is_caught(self, monkeypatch):
-        # a kernel whose likelihood drops and recovers keeps final >= initial
+        # a kernel whose likelihood drops at one flip and recovers by the last
+        # keeps final >= initial; trial 1 of this cell flips three times
         real_run = montecarlo.run
 
         def dipping_run(*args, **kwargs):
-            decision, trace = real_run(*args, **kwargs)
-            lam = trace.likelihood.copy()
-            lam[len(lam) // 2] = trace.initial_likelihood - 100.0
-            return decision, replace(trace, likelihood=lam)
+            decision, block = real_run(*args, **kwargs)
+            lam = block.flip_likelihood.copy()
+            lam[0] = block.initial_likelihood[block.flip_row[0]] - 100.0
+            return decision, replace(block, flip_likelihood=lam)
 
         monkeypatch.setattr(montecarlo, "run", dipping_run)
-        with pytest.raises(AssertionError, match="likelihood decreased"):
-            trial(_point(), 0)
+        with pytest.raises(AssertionError,
+                           match=r"likelihood decreased at rho=1.0 \(seed=0, trial=1, step \d+\)"):
+            trial(_point(), 1)
 
     def test_zero_steps_equals_search_off(self):
         p_zero = _point(n_f=0)
@@ -231,6 +234,33 @@ class TestExperimentConfig:
             ExperimentConfig(nt=4, nr=4, snr_db=0.0, master_seed=-1)
 
 
+    @pytest.mark.parametrize("field,value", [
+        ("nt", 4.5), ("nr", [4, 4.5]), ("n_f", 2.5), ("max_trials", 20.5),
+        ("min_bit_errors", 1.5), ("master_seed", 0.5), ("nt", "4"), ("n_f", True),
+        ("max_trials", None),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        kwargs = dict(nt=[4, 4], nr=[4, 4], snr_db=0.0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got ")):
+            ExperimentConfig(**kwargs)
+
+    def test_integral_values_become_ints(self):
+        cfg = ExperimentConfig(nt=4.0, nr=[np.int64(4)], snr_db=0.0, n_f=np.float64(8.0),
+                               max_trials=20.0, min_bit_errors=np.int32(3), master_seed=1.0)
+        values = (cfg.nt[0], cfg.nr[0], cfg.n_f, cfg.max_trials, cfg.min_bit_errors,
+                  cfg.master_seed)
+        assert values == (4, 4, 8, 20, 3, 1)
+        assert all(type(v) is int for v in values)
+
+    @pytest.mark.parametrize("value", ["off", ["off"], [True, "on"], 1, [0], None])
+    def test_las_entries_must_be_bools(self, value):
+        with pytest.raises(ValueError, match="las_enabled entries must be true or false"):
+            ExperimentConfig(nt=4, nr=4, snr_db=0.0, las_enabled=value)
+        assert ExperimentConfig(nt=4, nr=4, snr_db=0.0,
+                                las_enabled=[np.bool_(False), True]).las_enabled == (False, True)
+
+
 class TestRunSweep:
     def test_results_follow_grid_order(self):
         cfg = ExperimentConfig(
@@ -313,16 +343,82 @@ class TestRhoGroups:
             fresh(*before)  # leaves only the inputs of ``before`` behind
             assert outcome(*after) == expected, (before, after)
 
-    def test_at_most_one_trial_is_kept_and_chunks_leave_none(self):
+    def test_singular_trials_are_drawn_once_per_group(self, monkeypatch):
+        # ZF with nt > nr: every trial aborts, and each is drawn once, not once per cell
+        draws = []
+        real_draw = montecarlo.draw
+
+        def counted(*args):
+            draws.append(args[-1])
+            return real_draw(*args)
+
+        monkeypatch.setattr(montecarlo, "draw", counted)
+        rhos = [0.8, 0.85, 0.9, 0.95, 1.0, 1.05, 1.1, 1.15, 1.2]
+        cfg = ExperimentConfig(nt=4, nr=2, snr_db=10, detector="zf", rho=rhos, n_f=8,
+                               max_trials=600)
+        results = run_sweep(cfg, n_jobs=1)
+        assert [r.aborted_trials for r in results] == [600] * 9
+        assert sorted(draws) == list(range(600))
+
+    def test_at_most_one_block_is_kept_and_chunks_leave_none(self, monkeypatch):
         p = _point(max_trials=20)
         trial(p, 0)
         trial(p, 1)
-        assert len(montecarlo._SHARED) == 1
+        assert list(montecarlo._SHARED) == [(p, 1)]  # outside a chunk: a block of one
+        monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", 7 * montecarlo._trial_bytes(p.nt, 1))
+        kept = []
+        real_trial = montecarlo.trial
+
+        def spy(point, index, record_trace=False):
+            result = real_trial(point, index, record_trace)
+            kept.append(tuple(sorted(i for _, i in montecarlo._SHARED)))
+            return result
+
+        monkeypatch.setattr(montecarlo, "trial", spy)
         run_point(p)
         assert montecarlo._SHARED == {}
-        trial(p, 0)
+        assert sorted(set(kept)) == [tuple(range(0, 7)), tuple(range(7, 14)),
+                                     tuple(range(14, 20))]
+        kept.clear()
         run_trace(p, trials=4)
         assert montecarlo._SHARED == {}
+        assert set(kept) == {(0, 1, 2, 3)}
+
+
+class TestBlocks:
+    """Trials run in blocks sized by ``montecarlo._BLOCK_BYTES``; no output
+    depends on the size."""
+
+    # (sweep grid, trials of the trace of its last cell), per nt
+    CASES = {
+        4: (dict(nt=4, nr=6, snr_db=10.0, rho=[0.0, 0.5, 1.0, 1.5, 100.0], n_f=8,
+                 max_trials=1500, min_bit_errors=25), 100),
+        32: (dict(nt=32, nr=32, snr_db=10.0, rho=[0.8, 0.9, 1.0, 1.2], n_f=90,
+                  max_trials=600, min_bit_errors=12), 40),
+        128: (dict(nt=128, nr=128, snr_db=10.0, rho=[0.9, 1.0], n_f=384, max_trials=12,
+                   min_bit_errors=10**9), 12),
+    }
+
+    @pytest.mark.parametrize("nt", [4, 32, 128])
+    def test_outputs_do_not_depend_on_the_block_size(self, nt, monkeypatch):
+        grid, trace_trials = self.CASES[nt]
+        cfg = ExperimentConfig(**grid)
+        last = cfg.points()[-1]
+
+        def outputs(block_trials):
+            def budget(cells):
+                if block_trials is not None:
+                    monkeypatch.setattr(montecarlo, "_BLOCK_BYTES",
+                                        block_trials * montecarlo._trial_bytes(nt, cells))
+            budget(len(grid["rho"]))
+            sweep = run_sweep(cfg)
+            budget(1)
+            agg = run_trace(last, trace_trials)
+            return sweep, agg.mean_likelihood.tobytes(), agg.mean_ber.tobytes()
+
+        default = outputs(None)
+        assert outputs(1) == default
+        assert outputs(7) == default
 
 
 class TestRunTrace:

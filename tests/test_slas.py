@@ -281,6 +281,45 @@ def test_trace_bytes_are_pinned():
     )
 
 
+@pytest.mark.parametrize("nt", [1, 5, 32])
+@pytest.mark.parametrize("with_truth", [True, False])
+def test_block_rows_equal_blocks_of_one(nt, with_truth):
+    """Row t * R + c of a block of T trials and R rho values is trial t
+    searched alone at rho[c]: every trace field, as bytes, and the flop
+    charge is the sum of the rows'."""
+    rhos = [0.0, 0.8, 1.0, 1.2]
+    setups = [_random_setup(nt, nt, 300 + 7 * nt + t, snr_db=6.0) for t in range(7)]
+    stacked = SlasWorkspace(*(np.stack([getattr(s[0], f) for s in setups])
+                              for f in ("y_eff", "h_real", "zeta_base")))
+    truth = np.stack([s[2] for s in setups]) if with_truth else None
+    block_counter, row_counter = FlopCounter(), FlopCounter()
+    hd, block = run(stacked, HardDecision(bits=np.stack([s[1].bits for s in setups])), rhos,
+                    3 * nt, b_true=truth, counter=block_counter)
+    assert hd.bits.shape == (len(setups) * len(rhos), nt)
+    flips = 0
+    for t, (ws, b0, b_true) in enumerate(setups):
+        for c, rho in enumerate(rhos):
+            alone_hd, alone = run(ws, b0, rho, 3 * nt, b_true=b_true if with_truth else None,
+                                  counter=row_counter)
+            row = block.row(t * len(rhos) + c)
+            for field in ("antenna", "likelihood", "flipped", "bit_errors", "final_bits",
+                          "final_gradient"):
+                a, b = getattr(alone, field), getattr(row, field)
+                if a is None:
+                    assert b is None
+                    continue
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field
+            for field in ("initial_likelihood", "initial_bit_errors", "flips", "steps_run",
+                          "converged"):
+                a, b = getattr(alone, field), getattr(row, field)
+                assert (type(a), a) == (type(b), b), field
+            assert hd.bits[t * len(rhos) + c].tobytes() == alone_hd.bits.tobytes()
+            flips += alone.flips
+    assert block.flips == flips
+    assert block.steps_run == len(setups) * len(rhos) * 3 * nt
+    assert vars(block_counter) == vars(row_counter)
+
+
 class TestRunFlopAccounting:
     def test_full_recompute_mode_charges_model_cost(self):
         # the flops table prices its full-recompute row at n_f model steps

@@ -7,6 +7,8 @@
 #
 # The rho-sweep command is the benchmark's selectivity sweep at seed 0; it is
 # written at --jobs 1 and --jobs 2, and the two files must be identical.
+# The two 128x128 commands are the benchmark's mmse-128 and trace-128 cells
+# at fewer trials; they run the search in blocks of a few trials.
 # The commands after it are cheap runs of each way a setting can be given: a
 # --config file, MIMO_SLAS_SEED, a preset with overriding flags, --format json.
 # The config files they read are written to OUTDIR as well.
@@ -45,6 +47,10 @@ for jobs in 1 2; do
         --rho-list 0.8,0.85,0.9,0.95,1,1.05,1.1,1.15,1.2 --detector mf \
         --steps 90 --trials 100000 --min-errors 25 --seed 0 --jobs "$jobs"
 done
+cli mmse-128 ber-snr --nt 128 --nr 128 --las on --rho 1 --min-errors 12800 \
+    --snr-list=-10 --detector mmse --steps 128 --trials 20
+cli trace-128 trace --nt 128 --nr 128 --rho-list 1 --snr-list=10 --detector mf \
+    --steps 384 --trials 64
 
 printf '%s\n' '{"nt": 6, "nr": 8, "snr_db": [0, 5], "detector": "mmse",' \
     ' "las_enabled": true, "rho": [0.9, 1.0], "n_f": 24, "max_trials": 400,' \
