@@ -39,6 +39,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -162,10 +163,11 @@ _LAS_AXIS = {"on": (True,), "off": (False,), "both": (False, True)}
 
 
 def _parse_number_list(text: str, kind):
-    """Parse 'a,b,c' or inclusive 'start:step:stop' into a list of numbers.
+    """Parse 'a,b,c' or inclusive 'start:step:stop' into a non-empty list of
+    numbers.
 
     With ``kind=int`` every value must be integral; 1.7 is rejected, not
-    truncated.
+    truncated.  A range's bounds and step must be finite.
     """
     text = text.strip()
     if ":" in text:
@@ -173,6 +175,8 @@ def _parse_number_list(text: str, kind):
         if len(parts) != 3:
             raise ValueError(f"range syntax is start:step:stop, got {text!r}")
         start, step, stop = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, step, stop))):
+            raise ValueError(f"range bounds and step must be finite, got {text!r}")
         if step <= 0:
             raise ValueError(f"range step must be positive, got {step}")
         values = []
@@ -185,6 +189,8 @@ def _parse_number_list(text: str, kind):
             k += 1
     else:
         values = [float(p) for p in text.split(",") if p]
+    if not values:
+        raise ValueError(f"expected at least one value, got {text!r}")
     if kind is int:
         bad = [v for v in values if not v.is_integer()]
         if bad:
@@ -308,9 +314,9 @@ def _ber_rows(experiment: str, results) -> list[dict]:
     rows = []
     for bp in results:
         p = bp.point
-        model = flops_closed_form(CostKind(p.detector.value), p.nt, p.nr).flops
+        model = flops_closed_form(CostKind(p.detector.value), p.nt, p.nr)
         if p.las_enabled:
-            model += flops_closed_form(CostKind.LAS, p.nt, p.nr, p.n_f).flops
+            model += flops_closed_form(CostKind.LAS, p.nt, p.nr, p.n_f)
         measured = _measured_detection_flops(p)
         rows.append(
             {

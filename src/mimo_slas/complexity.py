@@ -25,13 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import detectors
-from .channel import SnrSpec, assemble, sample_bpsk, sample_channel
+from .channel import SnrSpec
 from .linalg import FlopCounter, gauss_invert_flops
+from .montecarlo import draw
 from .slas import full_recompute_step_flops, precompute, run
 
 __all__ = [
     "CostKind",
-    "FlopModel",
     "ReconciliationReport",
     "BenchmarkStats",
     "flops_closed_form",
@@ -45,15 +45,6 @@ class CostKind(str, enum.Enum):
     ZF = "zf"
     MMSE = "mmse"
     LAS = "las"
-
-
-@dataclass(frozen=True)
-class FlopModel:
-    kind: CostKind
-    nt: int
-    nr: int
-    n_f: int | None
-    flops: int
 
 
 @dataclass(frozen=True)
@@ -83,8 +74,8 @@ class BenchmarkStats:
 
 def flops_closed_form(
     kind: CostKind | str, nt: int, nr: int, n_f: int | None = None
-) -> FlopModel:
-    """Exact integer evaluation of the closed-form cost models."""
+) -> int:
+    """Exact integer evaluation of the closed-form cost models, in real flops."""
     kind = CostKind(kind)
     if nt < 1 or nr < 1:
         raise ValueError(f"antenna counts must be >= 1, got nt={nt} nr={nr}")
@@ -93,12 +84,12 @@ def flops_closed_form(
     elif kind is CostKind.ZF:
         flops = gauss_invert_flops(nt) + 16 * nt**2 * nr - 4 * nt**2 + 8 * nt * nr - 2 * nt
     elif kind is CostKind.MMSE:
-        flops = flops_closed_form(CostKind.ZF, nt, nr).flops + 4 * nt
+        flops = flops_closed_form(CostKind.ZF, nt, nr) + 4 * nt
     else:
         if n_f is None or n_f < 0:
             raise ValueError(f"search cost model needs n_f >= 0, got {n_f}")
         flops = 8 * nt**2 * n_f
-    return FlopModel(kind=kind, nt=nt, nr=nr, n_f=n_f if kind is CostKind.LAS else None, flops=flops)
+    return flops
 
 
 def _decomposition(kind: CostKind, nt: int, nr: int, n_f: int | None) -> str:
@@ -141,15 +132,15 @@ def reconcile(
     kind = CostKind(kind)
     model = flops_closed_form(kind, nt, nr, n_f)
     measured_total = measured.total if isinstance(measured, FlopCounter) else int(measured)
-    rel = abs(measured_total - model.flops) / model.flops if model.flops else 0.0
-    if measured_total == model.flops:
+    rel = abs(measured_total - model) / model if model else 0.0
+    if measured_total == model:
         verdict = "EXACT"
     elif rel <= 0.10:
         verdict = "WITHIN_TOL"
     else:
         verdict = "DIVERGENT"
     notes = _decomposition(kind, nt, nr, n_f)
-    if kind is CostKind.LAS and measured_total < model.flops:
+    if kind is CostKind.LAS and measured_total < model:
         notes += (
             "; incremental gradient updates measure below the full-recompute model"
         )
@@ -159,8 +150,8 @@ def reconcile(
         kind=kind,
         nt=nt,
         nr=nr,
-        n_f=model.n_f,
-        model_flops=model.flops,
+        n_f=n_f if kind is CostKind.LAS else None,
+        model_flops=model,
         measured_flops=measured_total,
         relative_error=rel,
         verdict=verdict,
@@ -175,16 +166,15 @@ def benchmark(
     n_f: int | None = None,
     repetitions: int = 11,
     seed: int = 0,
-    snr_db: float = 10.0,
-    rho: float = 1.0,
 ) -> BenchmarkStats:
     """Median/p10/p90 wall-clock seconds for one detection call.
 
-    Channel generation sits outside the timed region.  The search scope
-    includes workspace precompute and the initial gradient but not the
-    initializer's own linear detection (the matched-filter stage is shared,
-    so it is charged to the linear detector it belongs to).  Single-threaded,
-    ``repetitions >= 5``.
+    Repetition k runs on the Monte-Carlo draw of trial k at 10 dB (see
+    :func:`mimo_slas.montecarlo.draw`), which sits outside the timed region.
+    The search runs at rho = 1; its scope includes workspace precompute and
+    the initial gradient but not the initializer's own linear detection (the
+    matched-filter stage is shared, so it is charged to the linear detector
+    it belongs to).  Single-threaded, ``repetitions >= 5``.
     """
     kind = CostKind(kind)
     if repetitions < 5:
@@ -192,18 +182,15 @@ def benchmark(
     if kind is CostKind.LAS and (n_f is None or n_f < 0):
         raise ValueError(f"benchmarking the search needs n_f >= 0, got {n_f}")
     det = None if kind is CostKind.LAS else detectors.DetectorKind(kind.value)
-    rng = np.random.default_rng(seed)
-    snr = SnrSpec(snr_db)
+    snr = SnrSpec(10.0)
     times = []
-    for _ in range(repetitions):
-        h = sample_channel(nt, nr, rng)
-        b_true = sample_bpsk(nt, snr.es, rng)
-        inst = assemble(h, b_true, snr, rng)
+    for rep in range(repetitions):
+        inst = draw(seed, nt, nr, 10.0, rep)
         if kind is CostKind.LAS:
             b0 = detectors.slice_bpsk(detectors.mf(inst.h, inst.y))
             t0 = time.perf_counter()
             ws = precompute(inst.h, inst.y)
-            run(ws, b0, rho, n_f)
+            run(ws, b0, 1.0, n_f)
             times.append(time.perf_counter() - t0)
         else:
             t0 = time.perf_counter()

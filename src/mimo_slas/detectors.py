@@ -1,9 +1,10 @@
 """Linear uplink detectors: matched filter, zero forcing, and MMSE.
 
 All three charge their instrumented real-flop cost to the caller's
-:class:`~mimo_slas.linalg.FlopCounter`, when one is passed, and return a
-:class:`SoftEstimate`.  ZF and MMSE still form the explicit filter matrix
-``W = G^-1 H^H``, now by solving ``G W = H^H``
+:class:`~mimo_slas.linalg.FlopCounter`, when one is passed, and return the
+complex soft values as an array; :func:`slice_bpsk` turns them into the +-1
+array the search starts from.  ZF and MMSE still form the explicit filter
+matrix ``W = G^-1 H^H``, now by solving ``G W = H^H``
 (:func:`~mimo_slas.linalg.hermitian_solve`) rather than by inverting ``G``,
 and then apply it to ``y``.  The solve is charged the inversion lump plus
 the product with ``H^H`` — the explicit-``W`` order, deliberately not the
@@ -12,23 +13,21 @@ instrumented totals line up with the closed-form cost models in
 :mod:`mimo_slas.complexity`.
 
 A detector that raises :class:`~mimo_slas.linalg.SingularMatrixError` may
-already have charged the Gram product to the counter; the one caller that
-catches the error (``cli._measured_detection_flops``) discards its counter.
+already have charged the Gram product to the counter.  Of the callers that
+catch the error, ``cli._measured_detection_flops`` discards its counter and
+``montecarlo._block`` passes none.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import SnrSpec
 from .linalg import FlopCounter, hermitian_solve, hermitian_transpose, mat_mul, mat_vec
 
-__all__ = [
-    "DetectorKind", "SoftEstimate", "HardDecision", "mf", "zf", "mmse", "detect", "slice_bpsk",
-]
+__all__ = ["DetectorKind", "mf", "zf", "mmse", "detect", "slice_bpsk"]
 
 
 class DetectorKind(str, enum.Enum):
@@ -37,28 +36,12 @@ class DetectorKind(str, enum.Enum):
     MMSE = "mmse"
 
 
-@dataclass(frozen=True)
-class SoftEstimate:
-    """Unsliced detector output."""
-
-    values: np.ndarray
-    detector_kind: DetectorKind
-
-
-@dataclass(frozen=True)
-class HardDecision:
-    """Sliced BPSK decisions, entries exactly +-1.0."""
-
-    bits: np.ndarray
-
-
-def mf(h: np.ndarray, y: np.ndarray, counter: FlopCounter | None = None) -> SoftEstimate:
+def mf(h: np.ndarray, y: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
     """Matched filter H^H y."""
-    values = mat_vec(hermitian_transpose(h), y, counter)
-    return SoftEstimate(values=values, detector_kind=DetectorKind.MF)
+    return mat_vec(hermitian_transpose(h), y, counter)
 
 
-def zf(h: np.ndarray, y: np.ndarray, counter: FlopCounter | None = None) -> SoftEstimate:
+def zf(h: np.ndarray, y: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
     """Zero forcing (G^-1 H^H) y with G = H^H H.
 
     Propagates :class:`~mimo_slas.linalg.SingularMatrixError` when the Gram
@@ -67,13 +50,12 @@ def zf(h: np.ndarray, y: np.ndarray, counter: FlopCounter | None = None) -> Soft
     hh = hermitian_transpose(h)
     gram = mat_mul(hh, h, counter)
     filt = hermitian_solve(gram, hh, counter)
-    values = mat_vec(filt, y, counter)
-    return SoftEstimate(values=values, detector_kind=DetectorKind.ZF)
+    return mat_vec(filt, y, counter)
 
 
 def mmse(
     h: np.ndarray, y: np.ndarray, snr: SnrSpec, counter: FlopCounter | None = None
-) -> SoftEstimate:
+) -> np.ndarray:
     """MMSE filter ((G + (n0/es) I)^-1 H^H) y.
 
     Regularizing the Gram diagonal charges 2*nt multiplications (real scalar
@@ -88,14 +70,13 @@ def mmse(
     if counter is not None:
         counter.charge(additions=2 * nt, multiplications=2 * nt)
     filt = hermitian_solve(reg, hh, counter)
-    values = mat_vec(filt, y, counter)
-    return SoftEstimate(values=values, detector_kind=DetectorKind.MMSE)
+    return mat_vec(filt, y, counter)
 
 
 def detect(
     kind: DetectorKind, h: np.ndarray, y: np.ndarray, snr: SnrSpec,
     counter: FlopCounter | None = None,
-) -> SoftEstimate:
+) -> np.ndarray:
     """The linear detector ``kind`` applied to ``y`` (``snr`` is read by MMSE only).
 
     Looks ``mf``/``zf``/``mmse`` up by module global name on every call, so a
@@ -110,8 +91,6 @@ def detect(
     raise ValueError(f"unknown detector: {kind!r}")
 
 
-def slice_bpsk(soft: SoftEstimate | np.ndarray) -> HardDecision:
-    """Sign slicer on the real part; the tie Re == 0 maps to +1."""
-    values = soft.values if isinstance(soft, SoftEstimate) else np.asarray(soft)
-    bits = np.where(np.real(values) >= 0.0, 1.0, -1.0)
-    return HardDecision(bits=bits)
+def slice_bpsk(soft: np.ndarray) -> np.ndarray:
+    """Sign slicer on the real part: +-1.0 entries, the tie Re == 0 maps to +1."""
+    return np.where(np.real(soft) >= 0.0, 1.0, -1.0)

@@ -39,7 +39,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .channel import ChannelInstance, SnrSpec, assemble, sample_bpsk, sample_channel
-from .detectors import DetectorKind, HardDecision, detect, slice_bpsk
+from .detectors import DetectorKind, detect, slice_bpsk
 from .linalg import SingularMatrixError
 from .slas import SlasBlock, SlasTrace, SlasWorkspace, precompute, run
 
@@ -127,6 +127,24 @@ def _integer(name: str):
     return check
 
 
+def _real(name: str):
+    """Checker for a float axis entry: a real number that is not NaN passes as
+    float; anything else (a string, a bool, NaN) is a ValueError naming it."""
+    def check(value) -> float:
+        if (isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+                and not math.isnan(value)):
+            return float(value)
+        raise ValueError(f"{name} entries must be real numbers (not NaN), got {value!r}")
+    return check
+
+
+def _rho(value) -> float:
+    rho = _real("rho")(value)
+    if not 0.0 <= rho < math.inf:
+        raise ValueError(f"rho entries must be finite and >= 0, got {value!r}")
+    return rho
+
+
 def _flag(value) -> bool:
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
@@ -154,14 +172,17 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "nt", _normalize(self.nt, _integer("nt")))
         object.__setattr__(self, "nr", _normalize(self.nr, _integer("nr")))
-        object.__setattr__(self, "snr_db", _normalize(self.snr_db, float))
-        object.__setattr__(self, "rho", _normalize(self.rho, float))
+        object.__setattr__(self, "snr_db", _normalize(self.snr_db, _real("snr_db")))
+        object.__setattr__(self, "rho", _normalize(self.rho, _rho))
         object.__setattr__(
             self, "detector", _normalize(self.detector, DetectorKind)
         )
         object.__setattr__(self, "las_enabled", _normalize(self.las_enabled, _flag))
         for name in ("n_f", "max_trials", "min_bit_errors", "master_seed"):
             object.__setattr__(self, name, _integer(name)(getattr(self, name)))
+        for name in ("nt", "nr", "snr_db", "rho", "detector", "las_enabled"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must have at least one value")
         if len(self.nt) != len(self.nr):
             raise ValueError(
                 f"nt and nr lists are zipped and must have equal length, "
@@ -331,21 +352,20 @@ def _block(cells: tuple[PointSpec, ...], start: int, stop: int) -> dict:
             outcomes.update(((c, i), exc) for c in cells)
             continue
         if not p.las_enabled:
-            errors = int(np.count_nonzero(decision.bits != inst.b_true))
+            errors = int(np.count_nonzero(decision != inst.b_true))
             outcomes.update(((c, i), (errors, None, None)) for c in cells)
             continue
         ws = precompute(inst.h, inst.y)
         k = len(searched)
         searched.append(i)
         y_eff[k], h_real[k], zeta[k] = ws.y_eff, ws.h_real, ws.zeta_base
-        bits[k], truth[k] = decision.bits, inst.b_true
+        bits[k], truth[k] = decision, inst.b_true
     if searched:
         k = len(searched)
         ws = SlasWorkspace(y_eff=y_eff[:k], h_real=h_real[:k], zeta_base=zeta[:k])
-        final, block = run(ws, HardDecision(bits=bits[:k]), [c.rho for c in cells], p.n_f,
-                           b_true=truth[:k])
+        final, block = run(ws, bits[:k], [c.rho for c in cells], p.n_f, b_true=truth[:k])
         _check_ascent(block, cells, searched)
-        wrong = final.bits != np.repeat(truth[:k], len(cells), axis=0)
+        wrong = final != np.repeat(truth[:k], len(cells), axis=0)
         for row, errors in enumerate(np.count_nonzero(wrong, axis=1).tolist()):
             outcomes[cells[row % len(cells)], searched[row // len(cells)]] = (errors, block, row)
     return outcomes

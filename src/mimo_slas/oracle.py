@@ -2,9 +2,10 @@
 
 Small-system ground truth for validating the sequential search: brute-force
 maximization of the same likelihood over all 2^nt BPSK vectors, and a literal
-"no single flip improves it" test.  Both recompute the likelihood directly
-rather than reusing the search's incremental identities, so they stay
-independent oracles.
+"no single flip improves it" test.  The brute force walks the Gray code with
+the search's own incremental likelihood and gradient updates, and only the
+reported ``lambda_star`` is recomputed directly at the winner; the
+local-optimality test recomputes the likelihood of every candidate directly.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SnrSpec, assemble, sample_bpsk, sample_channel
-from .detectors import DetectorKind, HardDecision, detect, slice_bpsk
+from .detectors import DetectorKind, detect, slice_bpsk
 from .oracle import is_local_optimum, ml_bruteforce
 from .slas import SlasTrace, SlasWorkspace, gradient_full, likelihood, precompute, run
 
@@ -86,7 +86,7 @@ def _traces(cases: list, fault: str | None) -> list[SlasTrace]:
             h_real=sign * np.stack([cases[i][0].h_real for i in index]),
             zeta_base=np.stack([cases[i][0].zeta_base for i in index]),
         )
-        b0 = HardDecision(bits=np.stack([cases[i][1].bits for i in index]))
+        b0 = np.stack([cases[i][1] for i in index])
         _, block = run(stacked, b0, [1.0], 64 * nt)
         for row, i in enumerate(index):
             traces[i] = block.row(row)
@@ -97,7 +97,7 @@ def _check_instance(
     instance: int, ws, b0, trace: SlasTrace, results: dict[str, CheckCounts]
 ) -> None:
     nt = ws.nt
-    b = b0.bits.copy()
+    b = b0.copy()
     initial = previous = likelihood(ws, b)
     monotone_ok = gradient_ok = True
     silent = 0

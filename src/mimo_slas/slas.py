@@ -1,6 +1,6 @@
 """Sequential likelihood ascent search with a selective flip threshold.
 
-Starting from a linear detector's hard decision, the search visits transmit
+Starting from a linear detector's +-1 decision, the search visits transmit
 antennas in a fixed circular order (antenna ``k % nt`` at step ``k``) and
 flips the visited bit when the likelihood gradient at that coordinate clears
 a per-antenna threshold scaled by the selectivity factor ``rho``:
@@ -50,7 +50,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detectors import HardDecision
 from .linalg import (
     FlopCounter,
     hermitian_transpose,
@@ -214,12 +213,12 @@ def full_recompute_step_flops(nt: int) -> int:
 
 def run(
     ws: SlasWorkspace,
-    b0: HardDecision,
+    b0: np.ndarray,
     rho: float | Sequence[float],
     n_f: int,
     b_true: np.ndarray | None = None,
     counter: FlopCounter | None = None,
-) -> tuple[HardDecision, SlasTrace | SlasBlock]:
+) -> tuple[np.ndarray, SlasTrace | SlasBlock]:
     """Run n_f sequential steps from the initial decision ``b0``, for one
     search or for a block of them.
 
@@ -230,7 +229,7 @@ def run(
 
     Args:
         ws: precomputed workspace, one trial or a stack of trials.
-        b0: initial hard decision (the linear detector's output).
+        b0: initial +-1 bits (the linear detector's sliced output).
         rho: selectivity factor; the threshold is rho * zeta.
         n_f: number of steps (antenna visits); 0 is allowed.
         b_true: optional true payload (+-1); enables bit-error tracking.
@@ -239,15 +238,15 @@ def run(
             accepted flip.
 
     Returns:
-        (final hard decision, :class:`SlasTrace`) for a single search;
-        (final decisions of shape (rows, nt), :class:`SlasBlock`) for a block.
+        (final bits, :class:`SlasTrace`) for a single search;
+        (final bits of shape (rows, nt), :class:`SlasBlock`) for a block.
     """
     if n_f < 0:
         raise ValueError(f"n_f must be >= 0, got {n_f}")
     rhos = np.asarray(rho, dtype=np.float64)
-    if np.any(rhos < 0):
+    if not np.all(rhos >= 0):  # NaN fails the comparison too
         raise ValueError(f"rho must be >= 0, got {rho}")
-    bits = np.asarray(b0.bits, dtype=np.float64)
+    bits = np.asarray(b0, dtype=np.float64)
     if bits.shape != ws.y_eff.shape:
         raise ValueError(f"b0 has shape {bits.shape}, workspace expects {ws.y_eff.shape}")
     single = bits.ndim == 1 and rhos.ndim == 0
@@ -267,8 +266,8 @@ def run(
 
     if single:
         trace = block.row(0)
-        return HardDecision(bits=trace.final_bits), trace
-    return HardDecision(bits=block.final_bits), block
+        return trace.final_bits, trace
+    return block.final_bits, block
 
 
 @functools.lru_cache(maxsize=8)

@@ -88,8 +88,8 @@ def test_criterion_02_flop_reconciliation():
             assert report.relative_error <= 0.10, report
 
         model_gap = (
-            flops_closed_form(CostKind.MMSE, n, n).flops
-            - flops_closed_form(CostKind.ZF, n, n).flops
+            flops_closed_form(CostKind.MMSE, n, n)
+            - flops_closed_form(CostKind.ZF, n, n)
         )
         assert model_gap == 4 * n
 

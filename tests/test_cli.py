@@ -75,6 +75,17 @@ class TestNumberLists:
         with pytest.raises(ValueError):
             _parse_number_list("0:-1:10", int)
 
+    @pytest.mark.parametrize("text", ["0:1:inf", "nan:1:5", "0:nan:5", "-inf:1:0", "0:inf:5"])
+    def test_range_bounds_must_be_finite(self, text):
+        # an infinite or NaN stop once never ended the range loop
+        with pytest.raises(ValueError, match="range bounds and step must be finite"):
+            _parse_number_list(text, float)
+
+    @pytest.mark.parametrize("text", ["", " ", ",", "10:5:0"])
+    def test_empty_lists_are_rejected(self, text):
+        with pytest.raises(ValueError, match="expected at least one value"):
+            _parse_number_list(text, float)
+
 
 class TestBerCommands:
     def test_csv_schema_and_formats(self, capsys):
@@ -258,6 +269,8 @@ class TestConfigFile:
         ("max_trials", "20", "max_trials must be an integer, got '20'"),
         ("min_bit_errors", 1.5, "min_bit_errors must be an integer, got 1.5"),
         ("master_seed", 2.5, "master_seed must be an integer, got 2.5"),
+        ("rho", [True], "rho entries must be real numbers (not NaN), got True"),
+        ("snr_db", [], "snr_db must have at least one value"),
     ])
     def test_config_value_of_wrong_type_exits_2(self, key, value, message, capsys, tmp_path):
         config = {"nt": 4, "nr": 4, "snr_db": 0, "detector": "mf", "las_enabled": True,
@@ -442,6 +455,29 @@ class TestUsageErrors:
             main([command, "--nt", "2", "--nr", "2", "--snr-list", "10,10.0004"])
         assert exc_info.value.code == 2
         assert "share one seed key" in capsys.readouterr().err
+
+
+    # each of these once wrote a header-only table, or a mislabelled row, and exited 0
+    @pytest.mark.parametrize("argv,message", [
+        (["ber-antennas", "--n-list", "", "--trials", "5"], "expected at least one value"),
+        (["ber-snr", "--snr-list", "10:5:0", "--trials", "5"], "expected at least one value"),
+        (["flops", "--n-list", ""], "expected at least one value"),
+        (["ber-rho", "--n-list", "4", "--snr-list", "10", "--rho-list", "nan,1", "--trials", "5"],
+         "rho entries must be real numbers (not NaN), got nan"),
+        (["ber-rho", "--n-list", "4", "--snr-list", "10", "--rho-list", "inf", "--trials", "5"],
+         "rho entries must be finite and >= 0, got inf"),
+        (["ber-snr", "--snr-list", "nan", "--trials", "5"],
+         "snr_db entries must be real numbers (not NaN), got nan"),
+        (["trace", "--snr-list", "0:1:inf", "--trials", "5"],
+         "range bounds and step must be finite"),
+    ])
+    def test_empty_or_non_finite_values_exit_2(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv + ["--out", os.devnull])
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
 
 
 NEGATIVE_SNR_COMMANDS = {

@@ -4,6 +4,7 @@ and end-to-end agreement with instrumented detector runs."""
 import numpy as np
 import pytest
 
+from mimo_slas import complexity, detectors
 from mimo_slas.channel import SnrSpec, assemble, sample_bpsk, sample_channel
 from mimo_slas.complexity import (
     BenchmarkStats,
@@ -14,6 +15,7 @@ from mimo_slas.complexity import (
 )
 from mimo_slas.detectors import mf, mmse, slice_bpsk, zf
 from mimo_slas.linalg import FlopCounter
+from mimo_slas.montecarlo import draw
 from mimo_slas.slas import full_recompute_step_flops, precompute, run
 
 # matched filter at nt == nr, from 8*n^2 - 2*n
@@ -29,23 +31,23 @@ def _instance(nt, nr, seed, snr_db=10.0):
 
 @pytest.mark.parametrize("n,expected", sorted(MF_SQUARE_TABLE.items()))
 def test_mf_closed_form_frozen_values(n, expected):
-    assert flops_closed_form(CostKind.MF, n, n).flops == expected
+    assert flops_closed_form(CostKind.MF, n, n) == expected
 
 
 def test_zf_closed_form_structure():
     # ceil(2*32^3/3) + 16*32^3 - 4*32^2 + 8*32^2 - 2*32
-    assert flops_closed_form(CostKind.ZF, 32, 32).flops == 21846 + 524288 - 4096 + 8192 - 64
+    assert flops_closed_form(CostKind.ZF, 32, 32) == 21846 + 524288 - 4096 + 8192 - 64
 
 
 @pytest.mark.parametrize("nt", [1, 2, 16, 64, 256])
 def test_mmse_model_is_zf_plus_4nt(nt):
-    zf_flops = flops_closed_form(CostKind.ZF, nt, nt).flops
-    mmse_flops = flops_closed_form(CostKind.MMSE, nt, nt).flops
+    zf_flops = flops_closed_form(CostKind.ZF, nt, nt)
+    mmse_flops = flops_closed_form(CostKind.MMSE, nt, nt)
     assert mmse_flops - zf_flops == 4 * nt
 
 
 def test_search_model_frozen_value():
-    assert flops_closed_form(CostKind.LAS, 32, 32, n_f=96).flops == 8 * 32 * 32 * 96
+    assert flops_closed_form(CostKind.LAS, 32, 32, n_f=96) == 8 * 32 * 32 * 96
 
 
 def test_search_model_requires_n_f():
@@ -54,7 +56,7 @@ def test_search_model_requires_n_f():
 
 
 def test_kind_accepts_strings():
-    assert flops_closed_form("mf", 4, 4).flops == flops_closed_form(CostKind.MF, 4, 4).flops
+    assert flops_closed_form("mf", 4, 4) == flops_closed_form(CostKind.MF, 4, 4)
 
 
 @pytest.mark.parametrize("n", [1, 2, 16, 64])
@@ -112,7 +114,7 @@ def test_search_incremental_mode_reports_divergence_with_note():
 
 
 def test_reconcile_accepts_raw_integers_and_counters():
-    model = flops_closed_form(CostKind.MF, 8, 8).flops
+    model = flops_closed_form(CostKind.MF, 8, 8)
     counter = FlopCounter()
     counter.charge(multiplications=model)
     assert reconcile(CostKind.MF, 8, 8, counter).verdict == "EXACT"
@@ -138,6 +140,29 @@ def test_benchmark_search_includes_n_f():
     stats = benchmark(CostKind.LAS, 8, 8, n_f=16, repetitions=5, seed=1)
     assert stats.n_f == 16
     assert stats.median_s > 0.0
+
+
+@pytest.mark.parametrize("kind,n_f", [(CostKind.MMSE, None), (CostKind.LAS, 6)])
+def test_benchmark_times_the_monte_carlo_draws(kind, n_f, monkeypatch):
+    # repetition k runs on trial k's draw at 10 dB, not on a stream of its own
+    drawn, timed = [], []
+    monkeypatch.setattr(complexity, "draw", lambda *key: drawn.append(draw(*key)) or drawn[-1])
+    real_detect, real_precompute = detectors.detect, complexity.precompute
+    monkeypatch.setattr(detectors, "detect",
+                        lambda kind, h, *rest: timed.append(h) or real_detect(kind, h, *rest))
+    monkeypatch.setattr(complexity, "precompute",
+                        lambda h, y: timed.append(h) or real_precompute(h, y))
+    benchmark(kind, 4, 6, n_f=n_f, repetitions=5, seed=3)
+    assert len(drawn) == len(timed) == 5
+    for rep, (inst, h) in enumerate(zip(drawn, timed)):
+        assert h is inst.h
+        np.testing.assert_array_equal(h, draw(3, 4, 6, 10.0, rep).h)
+
+
+@pytest.mark.parametrize("keyword", ["snr_db", "rho"])
+def test_benchmark_takes_no_snr_or_rho(keyword):
+    with pytest.raises(TypeError):
+        benchmark(CostKind.LAS, 4, 4, n_f=4, repetitions=5, **{keyword: 10.0})
 
 
 def test_benchmark_guards():

@@ -1,6 +1,7 @@
 """Monte-Carlo harness tests: seed discipline, worker-count invariance,
 stopping behavior, and the sweep grid."""
 
+import math
 import re
 from dataclasses import replace
 
@@ -87,7 +88,7 @@ class TestDraw:
             inst = draw(p.master_seed, p.nt, p.nr, p.snr_db, idx)
             again = draw(p.master_seed, p.nt, p.nr, p.snr_db, idx)
             np.testing.assert_array_equal(inst.y, again.y)
-            bits = slice_bpsk(mf(inst.h, inst.y)).bits
+            bits = slice_bpsk(mf(inst.h, inst.y))
             assert trial(p, idx)[0] == int(np.sum(bits != inst.b_true))
 
 
@@ -252,6 +253,37 @@ class TestExperimentConfig:
                   cfg.master_seed)
         assert values == (4, 4, 8, 20, 3, 1)
         assert all(type(v) is int for v in values)
+
+    # a bool or a string once passed through float(): snr_db=True ran at 1 dB
+    # and rho='0.9' or False ran as 0.9 and 0; NaN ran an MF row labelled rho=nan
+    @pytest.mark.parametrize("field,value", [
+        ("snr_db", True), ("snr_db", ["10"]), ("snr_db", math.nan), ("snr_db", [None]),
+        ("rho", ["0.9"]), ("rho", [0.9, False]), ("rho", np.bool_(True)), ("rho", math.nan),
+    ])
+    def test_float_axes_must_be_real_numbers(self, field, value):
+        kwargs = dict(nt=4, nr=4, snr_db=10.0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=re.escape(f"{field} entries must be real numbers")):
+            ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.inf, -0.1, [1.0, -math.inf]])
+    def test_rho_must_be_finite_and_non_negative(self, value):
+        with pytest.raises(ValueError, match="rho entries must be finite and >= 0"):
+            ExperimentConfig(nt=4, nr=4, snr_db=10.0, rho=value)
+
+    def test_float_axes_accept_numbers_and_the_noiseless_point(self):
+        cfg = ExperimentConfig(nt=4, nr=4, snr_db=[10, np.float32(0.5), math.inf],
+                               rho=[0, np.float64(0.9), 1])
+        assert cfg.snr_db == (10.0, 0.5, math.inf)
+        assert cfg.rho == (0.0, 0.9, 1.0)
+        assert all(type(v) is float for v in cfg.snr_db + cfg.rho)
+
+    @pytest.mark.parametrize("field", ["nt", "nr", "snr_db", "rho", "detector", "las_enabled"])
+    def test_empty_axes_are_rejected(self, field):
+        kwargs = dict(nt=4, nr=4, snr_db=10.0)
+        kwargs[field] = []
+        with pytest.raises(ValueError, match=f"{field} must have at least one value"):
+            ExperimentConfig(**kwargs)
 
     @pytest.mark.parametrize("value", ["off", ["off"], [True, "on"], 1, [0], None])
     def test_las_entries_must_be_bools(self, value):

@@ -101,7 +101,7 @@ class TestIsLocalOptimum:
             hd, trace = run(ws, b0, rho=1.0, n_f=256)
             if trace.converged:
                 converged_seen += 1
-                assert is_local_optimum(ws, hd.bits)
+                assert is_local_optimum(ws, hd)
         assert converged_seen > 0
 
     def test_search_never_beats_exhaustive_maximum(self):
@@ -110,5 +110,5 @@ class TestIsLocalOptimum:
             b0 = slice_bpsk(np.ones(7))
             hd, trace = run(ws, b0, rho=1.0, n_f=140)
             result = ml_bruteforce(ws)
-            final = likelihood(ws, hd.bits)
+            final = likelihood(ws, hd)
             assert final <= result.lambda_star + 1e-9

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from mimo_slas.channel import sample_bpsk, sample_channel
-from mimo_slas.detectors import HardDecision, mf, slice_bpsk
+from mimo_slas.detectors import mf, slice_bpsk
 from mimo_slas.linalg import FlopCounter
 from mimo_slas.complexity import CostKind, flops_closed_form
 from mimo_slas.slas import (
@@ -91,23 +91,23 @@ class TestLikelihoodAndGradient:
     def test_likelihood_matches_loop_oracle(self, seed):
         ws, b0, _ = _random_setup(6, 6, seed)
         h = sample_channel(6, 6, np.random.default_rng(seed))  # _random_setup's channel
-        assert likelihood(ws, b0.bits) == pytest.approx(
-            _likelihood_loops(ws, h, b0.bits), rel=1e-12
+        assert likelihood(ws, b0) == pytest.approx(
+            _likelihood_loops(ws, h, b0), rel=1e-12
         )
 
     def test_gradient_matches_loop_oracle(self):
         ws, b0, _ = _random_setup(7, 7, 10)
-        g = gradient_full(ws, b0.bits)
+        g = gradient_full(ws, b0)
         for j in range(ws.nt):
             expected = ws.y_eff[j] - sum(
-                ws.h_real[j, k] * b0.bits[k] for k in range(ws.nt)
+                ws.h_real[j, k] * b0[k] for k in range(ws.nt)
             )
             assert g[j] == pytest.approx(expected, rel=1e-12)
 
     def test_gradient_charge(self):
         ws, b0, _ = _random_setup(4, 4, 11)
         c = FlopCounter()
-        gradient_full(ws, b0.bits, c)
+        gradient_full(ws, b0, c)
         assert c.real_additions == 16
         assert c.real_multiplications == 16
 
@@ -128,27 +128,27 @@ class TestScalarWorkedExample:
     def test_flip_from_minus_one_fires_and_delta_is_exact(self):
         ws = self._ws()
         assert gradient_full(ws, np.array([-1.0]))[0] == pytest.approx(4.0)
-        hd, trace = run(ws, HardDecision(bits=np.array([-1.0])), rho=1.0, n_f=1)
+        hd, trace = run(ws, np.array([-1.0]), rho=1.0, n_f=1)
         assert trace.flipped[0]
-        assert hd.bits[0] == 1.0
+        assert hd[0] == 1.0
         assert trace.initial_likelihood == pytest.approx(-3.0)
         assert trace.likelihood[0] == pytest.approx(1.0)  # -3 + 4
         assert trace.final_gradient[0] == pytest.approx(0.0)
 
     def test_settled_bit_does_not_fire(self):
         ws = self._ws()
-        hd, trace = run(ws, HardDecision(bits=np.array([1.0])), rho=1.0, n_f=1)
+        hd, trace = run(ws, np.array([1.0]), rho=1.0, n_f=1)
         assert not trace.flipped[0]
-        assert hd.bits[0] == 1.0
+        assert hd[0] == 1.0
 
     def test_boundary_equality_does_not_fire(self):
         # make g land exactly on rho * zeta: y = 0 gives g(-1) = 2 = zeta
         ws = precompute(np.array([[1.0 + 0j]]), np.array([0.0 + 0j]))
         assert gradient_full(ws, np.array([-1.0]))[0] == pytest.approx(2.0)
         assert ws.zeta_base[0] == pytest.approx(2.0)
-        hd, trace = run(ws, HardDecision(bits=np.array([-1.0])), rho=1.0, n_f=1)
+        hd, trace = run(ws, np.array([-1.0]), rho=1.0, n_f=1)
         assert not trace.flipped[0]
-        assert hd.bits[0] == -1.0
+        assert hd[0] == -1.0
 
 
 class TestFlipMechanics:
@@ -156,10 +156,10 @@ class TestFlipMechanics:
     def test_delta_matches_two_full_evaluations(self, seed):
         # starting from the negated decision makes every run flip many bits
         ws, b0, _ = _random_setup(8, 8, 100 + seed, snr_db=6.0)
-        start = HardDecision(bits=-b0.bits)
+        start = -b0
         hd, trace = run(ws, start, rho=1.0, n_f=4 * ws.nt)
         assert trace.flips >= 4
-        b = start.bits.copy()
+        b = start.copy()
         before = likelihood(ws, b)
         assert trace.initial_likelihood == pytest.approx(before, rel=1e-9, abs=1e-9)
         for k in np.flatnonzero(trace.flipped):
@@ -171,7 +171,7 @@ class TestFlipMechanics:
                 after - before, rel=1e-9, abs=1e-9
             )
             before = after
-        np.testing.assert_array_equal(hd.bits, b)
+        np.testing.assert_array_equal(hd, b)
         np.testing.assert_allclose(
             trace.final_gradient, gradient_full(ws, b), rtol=1e-9, atol=1e-9
         )
@@ -187,10 +187,10 @@ class TestRun:
     def test_initial_likelihood_and_trace_agree_with_direct_recompute(self):
         ws, b0, b_true = _random_setup(6, 6, 21, snr_db=8.0)
         _, trace = run(ws, b0, rho=1.0, n_f=18, b_true=b_true)
-        assert trace.initial_likelihood == pytest.approx(likelihood(ws, b0.bits))
+        assert trace.initial_likelihood == pytest.approx(likelihood(ws, b0))
 
         # replay the trace with direct recomputation only
-        b = b0.bits.copy()
+        b = b0.copy()
         for k in range(trace.steps_run):
             j = k % ws.nt
             g = gradient_full(ws, b)
@@ -218,19 +218,19 @@ class TestRun:
         hd_long, trace_long = run(ws, b0, rho=1.0, n_f=200)
         assert trace_long.converged
         # one more full pass changes nothing
-        hd_again, _ = run(ws, HardDecision(bits=hd_long.bits.copy()), rho=1.0, n_f=8)
-        np.testing.assert_array_equal(hd_again.bits, hd_long.bits)
+        hd_again, _ = run(ws, hd_long.copy(), rho=1.0, n_f=8)
+        np.testing.assert_array_equal(hd_again, hd_long)
 
     def test_does_not_mutate_input_decision(self):
         ws, b0, _ = _random_setup(6, 6, 25, snr_db=0.0)
-        before = b0.bits.copy()
+        before = b0.copy()
         run(ws, b0, rho=1.0, n_f=30)
-        np.testing.assert_array_equal(b0.bits, before)
+        np.testing.assert_array_equal(b0, before)
 
     def test_zero_steps(self):
         ws, b0, _ = _random_setup(4, 4, 26)
         hd, trace = run(ws, b0, rho=1.0, n_f=0)
-        np.testing.assert_array_equal(hd.bits, b0.bits)
+        np.testing.assert_array_equal(hd, b0)
         assert trace.steps_run == 0
         assert trace.flips == 0
         assert not trace.converged
@@ -252,7 +252,14 @@ class TestRun:
         with pytest.raises(ValueError):
             run(ws, b0, rho=-0.5, n_f=4)
         with pytest.raises(ValueError):
-            run(ws, HardDecision(bits=np.ones(5)), rho=1.0, n_f=4)
+            run(ws, np.ones(5), rho=1.0, n_f=4)
+
+    @pytest.mark.parametrize("rho", [float("nan"), [1.0, float("nan")]])
+    def test_rejects_nan_rho(self, rho):
+        # NaN fails every flip test, so the search would silently never move
+        ws, b0, _ = _random_setup(4, 4, 29)
+        with pytest.raises(ValueError, match="rho must be >= 0"):
+            run(ws, b0, rho=rho, n_f=4)
 
 
 def test_trace_bytes_are_pinned():
@@ -272,7 +279,7 @@ def test_trace_bytes_are_pinned():
             for n_f in (0, 3, 90):
                 hd, tr = run(ws, b0, rho, n_f, b_true=b_true)
                 for a in (tr.antenna, tr.likelihood, tr.flipped, tr.bit_errors,
-                          tr.final_bits, tr.final_gradient, hd.bits):
+                          tr.final_bits, tr.final_gradient, hd):
                     digest.update(f"{a.dtype.str}{a.shape}".encode() + a.tobytes())
                 digest.update(repr((float(tr.initial_likelihood).hex(), tr.initial_bit_errors,
                                     tr.flips, tr.steps_run, tr.converged)).encode())
@@ -293,9 +300,9 @@ def test_block_rows_equal_blocks_of_one(nt, with_truth):
                               for f in ("y_eff", "h_real", "zeta_base")))
     truth = np.stack([s[2] for s in setups]) if with_truth else None
     block_counter, row_counter = FlopCounter(), FlopCounter()
-    hd, block = run(stacked, HardDecision(bits=np.stack([s[1].bits for s in setups])), rhos,
+    hd, block = run(stacked, np.stack([s[1] for s in setups]), rhos,
                     3 * nt, b_true=truth, counter=block_counter)
-    assert hd.bits.shape == (len(setups) * len(rhos), nt)
+    assert hd.shape == (len(setups) * len(rhos), nt)
     flips = 0
     for t, (ws, b0, b_true) in enumerate(setups):
         for c, rho in enumerate(rhos):
@@ -313,7 +320,7 @@ def test_block_rows_equal_blocks_of_one(nt, with_truth):
                           "converged"):
                 a, b = getattr(alone, field), getattr(row, field)
                 assert (type(a), a) == (type(b), b), field
-            assert hd.bits[t * len(rhos) + c].tobytes() == alone_hd.bits.tobytes()
+            assert hd[t * len(rhos) + c].tobytes() == alone_hd.tobytes()
             flips += alone.flips
     assert block.flips == flips
     assert block.steps_run == len(setups) * len(rhos) * 3 * nt
@@ -327,7 +334,7 @@ class TestRunFlopAccounting:
             assert full_recompute_step_flops(nt) == 8 * nt * nt
             assert (
                 full_recompute_step_flops(nt) * 24
-                == flops_closed_form(CostKind.LAS, nt, nt, 24).flops
+                == flops_closed_form(CostKind.LAS, nt, nt, 24)
             )
 
     def test_incremental_mode_charges_actual_work(self):

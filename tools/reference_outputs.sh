@@ -81,3 +81,7 @@ run ber-snr --nt 4 --nr 4 --snr-list 0,10 --detector all --las on --rho 0.9 \
     --steps 8 --trials 200 --min-errors 20 --seed 5 --format json \
     --out "$out/ber-snr-json.json" >/dev/null
 run selfcheck --instances 9 >"$out/selfcheck.txt"
+# the injected fault must fail: keep its report and its exit status (1)
+status=0
+run selfcheck --instances 27 --inject-fault grad-sign >"$out/selfcheck-fault.txt" || status=$?
+echo "exit $status" >>"$out/selfcheck-fault.txt"
