@@ -37,7 +37,8 @@ class DetectorKind(str, enum.Enum):
 
 
 def mf(h: np.ndarray, y: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
-    """Matched filter H^H y."""
+    """Matched filter H^H y; with a leading trial axis on ``h`` and ``y``, one
+    stacked product that equals the per-trial ones bit for bit."""
     return mat_vec(hermitian_transpose(h), y, counter)
 
 

@@ -1,8 +1,12 @@
 """Dense complex linear algebra with per-operation flop instrumentation.
 
-Matrices are 2-D ``numpy.ndarray`` (complex128), vectors 1-D.  Every
-arithmetic operation charges a deterministic number of real floating-point
-operations to an optional :class:`FlopCounter` under the convention
+Matrices are 2-D ``numpy.ndarray`` (complex128), vectors 1-D.
+:func:`hermitian_transpose`, :func:`mat_mul` and :func:`mat_vec` also take
+stacks of them along leading axes: numpy's ``matmul`` then calls the same
+BLAS routine once per slice, so each slice of the result is bit for bit the
+product of that slice alone.  Every arithmetic operation charges a
+deterministic number of real floating-point operations (per slice) to an
+optional :class:`FlopCounter` under the convention
 
 * one real addition or multiplication  = 1 flop,
 * one complex addition                 = 2 flops,
@@ -24,6 +28,7 @@ a numerically singular matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,18 +105,23 @@ class FlopCounter:
         self.real_multiplications = 0
 
 
-def _as_matrix(a: np.ndarray, name: str) -> np.ndarray:
+def _as_matrix(a: np.ndarray, name: str, stacked: bool = False) -> np.ndarray:
     a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2:
+    if a.ndim != 2 and not (stacked and a.ndim > 2):
         raise DimensionMismatchError(f"{name} must be 2-D, got shape {a.shape}")
     return a
 
 
-def _as_vector(a: np.ndarray, name: str) -> np.ndarray:
+def _as_vectors(a: np.ndarray, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 1:
-        raise DimensionMismatchError(f"{name} must be 1-D, got shape {a.shape}")
+    if a.ndim < 1:
+        raise DimensionMismatchError(f"{name} must be 1-D or a stack, got shape {a.shape}")
     return a
+
+
+def _slices(*leading: tuple[int, ...]) -> int:
+    """Number of products in a stacked call with these leading shapes."""
+    return math.prod(np.broadcast_shapes(*leading))
 
 
 def mat_mul_flops(m: int, n: int, p: int) -> tuple[int, int]:
@@ -130,38 +140,39 @@ def gauss_invert_flops(n: int) -> int:
 
 
 def hermitian_transpose(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose.  Free: pure data movement."""
-    return _as_matrix(a, "a").conj().T
+    """Conjugate transpose of a matrix or of each matrix of a stack.  Free:
+    pure data movement."""
+    return _as_matrix(a, "a", stacked=True).conj().swapaxes(-1, -2)
 
 
 def mat_mul(a: np.ndarray, b: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
-    """Complex matrix product charging 6*m*n*p mults and 2*m*n*(p-1) adds."""
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatchError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}"
-        )
+    """Complex matrix product, or stacked products, charging 6*m*n*p mults and
+    2*m*n*(p-1) adds per product."""
+    a = _as_matrix(a, "a", stacked=True)
+    b = _as_matrix(b, "b", stacked=True)
+    (m, p), (q, n) = a.shape[-2:], b.shape[-2:]
+    if p != q:
+        raise DimensionMismatchError(f"cannot multiply {m}x{p} by {q}x{n}")
     if counter is not None:
-        m, p = a.shape
-        n = b.shape[1]
         adds, mults = mat_mul_flops(m, n, p)
-        counter.charge(additions=adds, multiplications=mults)
+        stack = _slices(a.shape[:-2], b.shape[:-2])
+        counter.charge(additions=stack * adds, multiplications=stack * mults)
     return a @ b
 
 
 def mat_vec(a: np.ndarray, x: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
-    """Complex matrix-vector product charging 6*m*p mults and 2*m*(p-1) adds."""
-    a = _as_matrix(a, "a")
-    x = _as_vector(x, "x")
-    if a.shape[1] != x.shape[0]:
-        raise DimensionMismatchError(
-            f"cannot apply {a.shape[0]}x{a.shape[1]} matrix to length-{x.shape[0]} vector"
-        )
+    """Complex matrix-vector product, or stacked products, charging 6*m*p mults
+    and 2*m*(p-1) adds per product."""
+    a = _as_matrix(a, "a", stacked=True)
+    x = _as_vectors(x, "x")
+    (m, p), q = a.shape[-2:], x.shape[-1]
+    if p != q:
+        raise DimensionMismatchError(f"cannot apply {m}x{p} matrix to length-{q} vector")
     if counter is not None:
-        adds, mults = mat_vec_flops(a.shape[0], a.shape[1])
-        counter.charge(additions=adds, multiplications=mults)
-    return a @ x
+        adds, mults = mat_vec_flops(m, p)
+        stack = _slices(a.shape[:-2], x.shape[:-1])
+        counter.charge(additions=stack * adds, multiplications=stack * mults)
+    return a @ x if x.ndim == 1 else (a @ x[..., None])[..., 0]
 
 
 def gauss_invert(a: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:

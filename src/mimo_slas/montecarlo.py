@@ -14,21 +14,35 @@ Stopping rule: a point runs trials in index order until the cumulative bit
 errors reach ``min_bit_errors`` or ``max_trials`` is exhausted; a point that
 exhausts the cap below the error floor is flagged, not hidden.
 
+Block draw: :func:`trial_rng` and the ``channel`` samplers define the
+contract, one generator per trial.  :func:`_draws` reproduces them for a
+block of consecutive trials: it runs SeedSequence's hash vectorised over the
+trial indices and PCG64's seeding on Python ints, sets the result on one
+reused generator, makes each trial's three generator calls in the
+reference's order, and forms the stacked channel, payload, noise and
+observation with the reference's elementwise formulas.  ``TestBlockDraw``
+in ``tests/test_montecarlo.py`` pins the generator states and the inputs bit
+for bit against the reference, and the stacked detection, workspace and
+search start against per-trial calls; ``tools/reference_outputs.sh`` and
+acceptance criterion 9 pin the outputs.
+
 Execution: cells that differ only in rho form a group and run over shared
 chunks of ``_CHUNK`` trial indices, the unit of the process pool and of the
-stop scan.  A chunk runs in blocks of consecutive trials.  Each trial of a
-block is drawn, detected and precomputed once, in index order, for all the
-group's cells, and one :func:`~mimo_slas.slas.run` call searches every
+stop scan.  A chunk runs in blocks of consecutive trials.  The trials of a
+block are drawn, detected and precomputed once, in index order, for all the
+group's cells, in sub-blocks of at most ``_DRAW_BYTES`` (256 KiB) of complex
+channel, and one :func:`~mimo_slas.slas.run` call searches every
 (trial, cell) row of the block.  A block's trial count comes from one byte
 budget, ``_BLOCK_BYTES`` (1 MiB: about 60 trials of nine cells at 32x32,
 seven trials at 128x128); a block never crosses a chunk, and no output
-depends on its size.  :func:`trial` stays the unit of work: every counted
+depends on either size.  :func:`trial` stays the unit of work: every counted
 (cell, trial) pair is one call, and the block is computed by the first call
 that needs it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from collections import deque
@@ -38,7 +52,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .channel import ChannelInstance, SnrSpec, assemble, sample_bpsk, sample_channel
+from .channel import ChannelInstance, SnrSpec
 from .detectors import DetectorKind, detect, slice_bpsk
 from .linalg import SingularMatrixError
 from .slas import SlasBlock, SlasTrace, SlasWorkspace, precompute, run
@@ -63,6 +77,9 @@ _CHUNK = 512
 # What one block of searches may hold: its trials' stacked H_real and the
 # state of its (trial, rho) rows (see _trial_bytes).
 _BLOCK_BYTES = 1 << 20
+# What one sub-block of the draw and of detection may hold of complex channel
+# (see _draws): 16 trials at 32x32, one at 128x128.
+_DRAW_BYTES = 1 << 18
 # The outcomes of the current block, {(point, trial_index): outcome}, and the
 # chunk being run, [(cells, start, stop)]; both are emptied at the end of
 # every chunk.
@@ -155,8 +172,9 @@ def _flag(value) -> bool:
 class ExperimentConfig:
     """Sweep description.  nt/nr are zipped (paired antenna counts); the
     snr/detector/las/rho axes form a cartesian grid, capped at
-    ``MAX_GRID_POINTS`` cells.  When the search is off the rho axis
-    collapses to its first value (rho is meaningless without the search)."""
+    ``MAX_GRID_POINTS`` cells.  No axis, and no (nt, nr) pair, may repeat a
+    value.  When the search is off the rho axis collapses to its first value
+    (rho is meaningless without the search)."""
 
     nt: tuple[int, ...]
     nr: tuple[int, ...]
@@ -190,6 +208,14 @@ class ExperimentConfig:
             )
         if any(n < 1 for n in self.nt + self.nr):
             raise ValueError("antenna counts must be >= 1")
+        # a repeated value would run its cells again and write their rows twice
+        for name, axis in (("(nt, nr)", tuple(zip(self.nt, self.nr))), ("snr_db", self.snr_db),
+                           ("rho", self.rho), ("detector", self.detector),
+                           ("las_enabled", self.las_enabled)):
+            repeated = next((v for i, v in enumerate(axis) if v in axis[:i]), None)
+            if repeated is not None:
+                shown = repeated.value if isinstance(repeated, DetectorKind) else repeated
+                raise ValueError(f"{name} has the value {shown!r} more than once")
         if self.n_f < 0:
             raise ValueError(f"n_f must be >= 0, got {self.n_f}")
         if self.max_trials < 1:
@@ -267,22 +293,156 @@ def check_snr_keys(snr_list) -> None:
 def trial_rng(
     master_seed: int, nt: int, nr: int, snr_db: float, trial_index: int
 ) -> np.random.Generator:
-    """Per-trial generator; the key deliberately excludes detector/rho/n_f."""
+    """Per-trial generator; the key deliberately excludes detector/rho/n_f.
+
+    With :func:`~mimo_slas.channel.sample_channel`,
+    :func:`~mimo_slas.channel.sample_bpsk` and
+    :func:`~mimo_slas.channel.assemble` it is the reference of the seed
+    contract, which :func:`_draws` reproduces a block at a time.
+    """
     seq = np.random.SeedSequence(
         (master_seed, nt, nr, _encode_snr(snr_db), trial_index)
     )
     return np.random.default_rng(seq)
 
 
+# SeedSequence's hash (numpy/random/bit_generator.pyx: hashmix, mix,
+# generate_state) on 32-bit words, and PCG64's 128-bit seeding step.
+_M32 = 0xFFFF_FFFF
+_M128 = (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _words(n: int) -> list[int]:
+    """``n`` as SeedSequence reads an integer: 32-bit words, low word first."""
+    words = [n & _M32]
+    while n := n >> 32:
+        words.append(n & _M32)
+    return words
+
+
+def _chain(hc: int, mult: int, count: int) -> list[int]:
+    """``count + 1`` successive hash constants from ``hc``: each hash call
+    reads one and multiplies it by ``mult`` for the next."""
+    out = [hc]
+    for _ in range(count):
+        out.append(out[-1] * mult & _M32)
+    return out
+
+
+def _hash(value, before, after):
+    """``hashmix`` with hash constant ``before`` (and ``after``, the next one),
+    on a Python int or elementwise on uint32 arrays."""
+    value = (value ^ before) * after & _M32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's ``mix`` of pool word ``x`` with hashed word ``y``."""
+    value = ((_MIX_L * x & _M32) - (_MIX_R * y & _M32)) & _M32
+    return value ^ value >> 16
+
+
+@functools.lru_cache(maxsize=16)
+def _seed_prefix(key: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """SeedSequence's pool after the words of ``key``, and its next hash
+    constant.  A key of four integers has at least four words (the pool's
+    size), so a trial index that follows is absorbed word by word."""
+    words = [w for v in key for w in _words(v)]
+    hc = _chain(_INIT_A, _MULT_A, 4 + 12 + 4 * (len(words) - 4))
+    calls = iter(zip(hc, hc[1:]))
+    pool = [_hash(w, *next(calls)) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(calls)))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hash(w, *next(calls)))
+    return tuple(pool), hc[-1]
+
+
+def _trial_states(key: tuple[int, ...], start: int, stop: int) -> list[tuple[int, int]]:
+    """PCG64 (state, inc) of ``default_rng(SeedSequence(key + (i,)))`` for
+    each i in [start, stop), vectorised over i."""
+    prefix, hc = _seed_prefix(key)
+    out = []
+    while start < stop:
+        n_words = len(_words(start))
+        end = min(stop, 1 << 32 * n_words)  # indices with as many words
+        pool = np.repeat(np.array(prefix, dtype=np.uint32)[:, None], end - start, axis=1)
+        chain = hc
+        for shift in range(0, 32 * n_words, 32):
+            word = np.array([i >> shift & _M32 for i in range(start, end)], dtype=np.uint32)
+            c = np.array(_chain(chain, _MULT_A, 4), dtype=np.uint32)[:, None]
+            pool = _mix(pool, _hash(word, c[:-1], c[1:]))  # one hash per pool word
+            chain = int(c[-1, 0])
+        # generate_state(4, uint64): eight hashed pool words, paired low word first
+        c = np.array(_chain(_INIT_B, _MULT_B, 8), dtype=np.uint32)[:, None]
+        state = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], c[:-1], c[1:]).astype(np.uint64)
+        seed_hi, seed_lo, inc_hi, inc_lo = (state[0::2] | state[1::2] << 32).tolist()
+        for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+            # pcg64_set_seed: inc = 2 * initseq + 1, then two steps with the initstate added
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+            out.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128, inc))
+        start = end
+    return out
+
+
+def _draws(master_seed: int, nt: int, nr: int, snr_db: float, start: int, stop: int):
+    """The inputs of trials [start, stop), in sub-blocks of consecutive trials.
+
+    Yields ``(first trial, h, b_true, noise, y)`` with the arrays stacked
+    along a leading trial axis.  A sub-block holds at most ``_DRAW_BYTES`` of
+    complex channel.  Each trial's generator is set to the state that
+    :func:`trial_rng` gives it (with no buffered 32-bit word) and makes the
+    calls of ``sample_channel``, ``sample_bpsk`` and ``assemble`` in their
+    order: the 2*nr*nt normals of H's real and imaginary blocks, the payload
+    bits, the 2*nr normals of the noise.  H, the payload, the noise and y are
+    then formed with those functions' elementwise formulas, and y with one
+    stacked product, so every trial's inputs are bit for bit :func:`draw`'s.
+    """
+    if nt < 1 or nr < 1:
+        raise ValueError(f"antenna counts must be >= 1, got nt={nt} nr={nr}")
+    snr = SnrSpec(snr_db)
+    states = _trial_states((master_seed, nt, nr, _encode_snr(snr_db)), start, stop)
+    bitgen = np.random.PCG64(0)  # set to each trial's state in turn
+    rng = np.random.Generator(bitgen)
+    size = max(1, _DRAW_BYTES // (16 * nr * nt))
+    for lo in range(0, stop - start, size):
+        chunk = states[lo:lo + size]
+        z = np.empty((len(chunk), 2, nr, nt))
+        bits = np.empty((len(chunk), nt), dtype=np.int64)
+        e = np.empty((len(chunk), 2, nr))
+        for k, (state, inc) in enumerate(chunk):
+            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+            rng.standard_normal(out=z[k])
+            bits[k] = rng.integers(0, 2, nt)
+            rng.standard_normal(out=e[k])
+        h = math.sqrt(0.5) * (z[:, 0] + 1j * z[:, 1])
+        b_true = math.sqrt(snr.es) * (2.0 * bits - 1.0)
+        noise = math.sqrt(snr.n0 / 2.0) * (e[:, 0] + 1j * e[:, 1])
+        y = (h @ b_true[:, :, None])[:, :, 0] + noise
+        # Free the normals before the caller runs: held across the yield, a
+        # 256 KiB buffer made malloc trim and page the heap in again on every
+        # sub-block (65 minor page faults per trial at 128x128).
+        del z, e
+        yield start + lo, h, b_true, noise, y
+
+
 def draw(
     master_seed: int, nt: int, nr: int, snr_db: float, trial_index: int
 ) -> ChannelInstance:
-    """One trial's channel, payload, noise and observation, from its seed key."""
-    rng = trial_rng(master_seed, nt, nr, snr_db, trial_index)
+    """One trial's channel, payload, noise and observation, from its seed key
+    (a block of one of :func:`_draws`)."""
     snr = SnrSpec(snr_db)
-    h = sample_channel(nt, nr, rng)
-    b_true = sample_bpsk(nt, snr.es, rng)
-    return assemble(h, b_true, snr, rng)
+    _, h, b_true, noise, y = next(_draws(master_seed, nt, nr, snr_db,
+                                         trial_index, trial_index + 1))
+    return ChannelInstance(h=h[0], b_true=b_true[0], noise=noise[0], y=y[0],
+                           n0=snr.n0, es=snr.es)
 
 
 def trial(
@@ -330,11 +490,13 @@ def _block_trials(cells: tuple[PointSpec, ...]) -> int:
 def _block(cells: tuple[PointSpec, ...], start: int, stop: int) -> dict:
     """Outcomes of trials [start, stop) of cells that differ only in rho.
 
-    The draw, detection and workspace of each trial are computed once, in
-    trial order, and shared by the cells; a trial whose detection is singular
-    is drawn once and marked aborted in every cell.  One :func:`run` then
-    searches every (trial, cell) row.  Each workspace is copied into the
-    block's stacked arrays and not kept.
+    The inputs come from :func:`_draws`, a sub-block at a time, and are
+    detected once for all the cells: MF as one stacked product per
+    sub-block, ZF and MMSE one trial at a time, so that each trial's
+    singularity verdict is its own.  A singular trial is drawn once and
+    marked aborted in every cell.  The workspaces of each sub-block are
+    precomputed as one stack and copied into the block's stacked arrays, and
+    one :func:`run` then searches every (trial, cell) row.
     """
     p = cells[0]
     snr = SnrSpec(p.snr_db)
@@ -344,22 +506,32 @@ def _block(cells: tuple[PointSpec, ...], start: int, stop: int) -> dict:
         n, nt = stop - start, p.nt
         y_eff, zeta, bits, truth = (np.empty((n, nt)) for _ in range(4))
         h_real = np.empty((n, nt, nt))
-    for i in range(start, stop):
-        inst = draw(p.master_seed, p.nt, p.nr, p.snr_db, i)
-        try:
-            decision = slice_bpsk(detect(p.detector, inst.h, inst.y, snr))
-        except SingularMatrixError as exc:
-            outcomes.update(((c, i), exc) for c in cells)
-            continue
+    for first, h, b_true, _, y in _draws(p.master_seed, p.nt, p.nr, p.snr_db, start, stop):
+        if p.detector is DetectorKind.MF:
+            kept = range(len(h))
+            decisions = slice_bpsk(detect(p.detector, h, y, snr))
+        else:
+            kept, decisions = [], []
+            for k in range(len(h)):
+                try:
+                    decisions.append(slice_bpsk(detect(p.detector, h[k], y[k], snr)))
+                    kept.append(k)
+                except SingularMatrixError as exc:
+                    outcomes.update(((c, first + k), exc) for c in cells)
+            if not kept:
+                continue
+            if len(kept) < len(h):
+                h, y, b_true = h[kept], y[kept], b_true[kept]
         if not p.las_enabled:
-            errors = int(np.count_nonzero(decision != inst.b_true))
-            outcomes.update(((c, i), (errors, None, None)) for c in cells)
+            errors = np.count_nonzero(np.asarray(decisions) != b_true, axis=1)
+            for k, e in zip(kept, errors.tolist()):
+                outcomes.update(((c, first + k), (e, None, None)) for c in cells)
             continue
-        ws = precompute(inst.h, inst.y)
-        k = len(searched)
-        searched.append(i)
-        y_eff[k], h_real[k], zeta[k] = ws.y_eff, ws.h_real, ws.zeta_base
-        bits[k], truth[k] = decision, inst.b_true
+        ws = precompute(h, y)
+        rows = slice(len(searched), len(searched) + len(kept))
+        y_eff[rows], h_real[rows], zeta[rows] = ws.y_eff, ws.h_real, ws.zeta_base
+        bits[rows], truth[rows] = decisions, b_true
+        searched += [first + k for k in kept]
     if searched:
         k = len(searched)
         ws = SlasWorkspace(y_eff=y_eff[:k], h_real=h_real[:k], zeta_base=zeta[:k])

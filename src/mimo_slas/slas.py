@@ -173,15 +173,16 @@ class SlasBlock:
 def precompute(
     h: np.ndarray, y: np.ndarray, counter: FlopCounter | None = None
 ) -> SlasWorkspace:
-    """Build the search workspace from the channel estimate and observation."""
+    """Build the search workspace from the channel estimate and observation,
+    or the stacked workspaces of a stack of them (leading trial axis)."""
     hh = hermitian_transpose(h)
     h_eff = mat_mul(hh, h, counter)
     hy = mat_vec(hh, y, counter)
     if counter is not None:
-        counter.charge(multiplications=hy.shape[0])  # scaling Re(H^H y) by 2
+        counter.charge(multiplications=hy.size)  # scaling Re(H^H y) by 2
     y_eff = 2.0 * hy.real
     h_real = real_part_scaled(h_eff, 2.0, counter)
-    zeta_base = np.abs(np.diag(h_real))
+    zeta_base = np.abs(np.diagonal(h_real, axis1=-2, axis2=-1))
     return SlasWorkspace(y_eff=y_eff, h_real=h_real, zeta_base=zeta_base)
 
 
@@ -299,13 +300,11 @@ def _search(y_eff, h_real, zeta, bits, rhos, n_f, truth) -> SlasBlock:
     trials, nt = y_eff.shape
     cells = rhos.size
     n_rows = trials * cells
-    # the start stays per trial and 1-D: a stacked product may sum in another order
-    g0 = np.empty((trials, nt))
-    lam0 = np.empty(trials)
-    for t in range(trials):
-        b = bits[t]
-        g0[t] = g = y_eff[t] - h_real[t] @ b
-        lam0[t] = 0.5 * float(b @ y_eff[t] + b @ g)
+    # Stacked matmul runs the per-trial BLAS call on each slice, so the start
+    # is bit for bit a lone search's (einsum would sum in another order).
+    g0 = y_eff - (h_real @ bits[:, :, None])[:, :, 0]
+    row_bits = bits[:, None, :]
+    lam0 = 0.5 * (row_bits @ y_eff[:, :, None] + row_bits @ g0[:, :, None])[:, 0, 0]
     trial_of = np.repeat(np.arange(trials), cells)
     b = bits[trial_of]
     g = g0[trial_of]

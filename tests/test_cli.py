@@ -479,6 +479,22 @@ class TestUsageErrors:
         assert message in captured.err
         assert captured.out == ""
 
+    # each of these once ran the repeated cells again and wrote their rows twice
+    @pytest.mark.parametrize("argv,message", [
+        (["ber-rho", "--n-list", "8", "--snr-list", "5,5", "--rho-list", "1,0.9,1"],
+         "snr_db has the value 5.0 more than once"),
+        (["ber-rho", "--n-list", "8", "--snr-list", "5", "--rho-list", "1,0.9,1"],
+         "rho has the value 1.0 more than once"),
+        (["ber-antennas", "--n-list", "4,2,4"], "(nt, nr) has the value (4, 4) more than once"),
+    ])
+    def test_repeated_axis_values_exit_2(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv + ["--trials", "5", "--out", os.devnull])
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
 
 NEGATIVE_SNR_COMMANDS = {
     "ber-snr": ["ber-snr", "--nt", "2", "--nr", "2", "--detector", "mf", "--las", "on",

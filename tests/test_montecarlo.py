@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from mimo_slas import montecarlo
-from mimo_slas.detectors import DetectorKind, mf, slice_bpsk
+from mimo_slas.channel import SnrSpec, assemble, sample_bpsk, sample_channel
+from mimo_slas.detectors import DetectorKind, detect, mf, slice_bpsk
+from mimo_slas.linalg import hermitian_transpose, mat_mul
 from mimo_slas.montecarlo import (
     MAX_GRID_POINTS,
     BerPoint,
@@ -23,6 +25,7 @@ from mimo_slas.montecarlo import (
     trial,
     trial_rng,
 )
+from mimo_slas.slas import precompute, run
 
 
 def _point(**overrides) -> PointSpec:
@@ -90,6 +93,90 @@ class TestDraw:
             np.testing.assert_array_equal(inst.y, again.y)
             bits = slice_bpsk(mf(inst.h, inst.y))
             assert trial(p, idx)[0] == int(np.sum(bits != inst.b_true))
+
+
+def _reference_draw(master_seed, nt, nr, snr_db, index):
+    """A trial's inputs as the seed contract defines them."""
+    rng = trial_rng(master_seed, nt, nr, snr_db, index)
+    snr = SnrSpec(snr_db)
+    return assemble(sample_channel(nt, nr, rng), sample_bpsk(nt, snr.es, rng), snr, rng)
+
+
+class TestBlockDraw:
+    """The block draw reproduces the seed contract bit for bit, and the stacked
+    products that follow it equal the per-trial ones."""
+
+    # (master_seed, nt, nr, snr_db): a master seed of two words, the inf key
+    # (1 << 40, two words), negative milli-dB keys and nr != nt
+    KEYS = [(0, 1, 1, 10.0), (0, 4, 6, -5.0), (2**32 + 7, 32, 32, 10.0),
+            (3, 128, 128, math.inf), (2**40, 4, 4, math.inf), (9, 3, 2, -12.345)]
+
+    @pytest.mark.parametrize("key", KEYS)
+    @pytest.mark.parametrize("start", [0, 2**32 - 3, 2**64 - 2])
+    def test_seeding_equals_seed_sequence(self, key, start):
+        master_seed, nt, nr, snr_db = key
+        seed_key = (master_seed, nt, nr, montecarlo._encode_snr(snr_db))
+        states = montecarlo._trial_states(seed_key, start, start + 6)
+        for i, (state, inc) in zip(range(start, start + 6), states):
+            expected = trial_rng(master_seed, nt, nr, snr_db, i).bit_generator.state
+            got = np.random.PCG64(0)
+            got.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                         "has_uint32": 0, "uinteger": 0}
+            assert got.state == expected, (key, i)
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_block_draw_equals_the_reference_draw(self, key, monkeypatch):
+        master_seed, nt, nr, snr_db = key
+        # sub-blocks of three trials, so that a block has several
+        monkeypatch.setattr(montecarlo, "_DRAW_BYTES", 3 * 16 * nr * nt)
+        sizes = []
+        for first, *arrays in montecarlo._draws(master_seed, nt, nr, snr_db, 5, 13):
+            sizes.append(len(arrays[0]))
+            for k in range(len(arrays[0])):
+                ref = _reference_draw(master_seed, nt, nr, snr_db, first + k)
+                for got, want in zip(arrays, (ref.h, ref.b_true, ref.noise, ref.y)):
+                    assert got[k].tobytes() == want.tobytes(), (key, first + k)
+        assert sizes == [3, 3, 2]
+        inst = draw(master_seed, nt, nr, snr_db, 11)
+        ref = _reference_draw(master_seed, nt, nr, snr_db, 11)
+        assert (inst.n0, inst.es) == (ref.n0, ref.es)
+        for got, want in [(inst.h, ref.h), (inst.b_true, ref.b_true), (inst.y, ref.y)]:
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("las", [False, True])
+    def test_trial_index_of_two_words(self, las):
+        p = _point(master_seed=2**33, las_enabled=las, rho=0.9)
+        for i in (2**32 - 1, 2**32, 2**32 + 5):
+            ref = _reference_draw(p.master_seed, p.nt, p.nr, p.snr_db, i)
+            bits = slice_bpsk(mf(ref.h, ref.y))
+            if las:
+                bits, _ = run(precompute(ref.h, ref.y), bits, p.rho, p.n_f)
+            assert trial(p, i)[0] == int(np.count_nonzero(bits != ref.b_true)), i
+
+    @pytest.mark.parametrize("nt", [1, 4, 32, 128])
+    def test_stacked_products_equal_per_trial_products(self, nt):
+        # equal only because numpy's matmul calls BLAS once per slice of a stack
+        _, h, b_true, _, y = next(montecarlo._draws(1, nt, nt, 0.0, 0, 5))
+        snr = SnrSpec(0.0)
+        soft = detect(DetectorKind.MF, h, y, snr)
+        gram = mat_mul(hermitian_transpose(h), h)
+        ws = precompute(h, y)
+        b0 = slice_bpsk(soft)
+        final, block = run(ws, b0, [1.0], 0)
+        for k in range(len(h)):
+            assert soft[k].tobytes() == detect(DetectorKind.MF, h[k], y[k], snr).tobytes()
+            assert gram[k].tobytes() == mat_mul(hermitian_transpose(h[k]), h[k]).tobytes()
+            one = precompute(h[k], y[k])
+            for got, want in [(ws.y_eff[k], one.y_eff), (ws.h_real[k], one.h_real),
+                              (ws.zeta_base[k], one.zeta_base)]:
+                assert got.tobytes() == want.tobytes()
+            _, trace = run(one, b0[k], 1.0, 0)
+            assert block.final_gradient[k].tobytes() == trace.final_gradient.tobytes()
+            assert block.initial_likelihood[k] == trace.initial_likelihood
+            # the gradient start against its definition, computed per trial
+            g = one.y_eff - one.h_real @ b0[k]
+            assert trace.final_gradient.tobytes() == g.tobytes()
+            assert trace.initial_likelihood == 0.5 * float(b0[k] @ one.y_eff + b0[k] @ g)
 
 
 class TestTrial:
@@ -285,6 +372,24 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"{field} must have at least one value"):
             ExperimentConfig(**kwargs)
 
+    @pytest.mark.parametrize("field,values,shown", [
+        ("snr_db", [5, 0, 5.0], "5.0"), ("rho", [1, 0.9, 1.0], "1.0"),
+        ("detector", ["mf", "zf", DetectorKind.MF], "'mf'"),
+        ("las_enabled", [True, False, True], "True"),
+    ])
+    def test_repeated_axis_values_are_rejected(self, field, values, shown):
+        kwargs = dict(nt=4, nr=4, snr_db=10.0)
+        kwargs[field] = values
+        with pytest.raises(ValueError, match=re.escape(f"{field} has the value {shown} more")):
+            ExperimentConfig(**kwargs)
+
+    def test_antenna_pairs_not_counts_must_differ(self):
+        # nt and nr may each repeat a count, as long as no (nt, nr) pair repeats
+        assert ExperimentConfig(nt=[4, 8], nr=[1, 1], snr_db=5.0).grid_size() == 2
+        assert ExperimentConfig(nt=[4, 4], nr=[4, 6], snr_db=5.0).grid_size() == 2
+        with pytest.raises(ValueError, match=re.escape("(nt, nr) has the value (4, 6) more")):
+            ExperimentConfig(nt=[4, 8, 4], nr=[6, 6, 6], snr_db=5.0)
+
     @pytest.mark.parametrize("value", ["off", ["off"], [True, "on"], 1, [0], None])
     def test_las_entries_must_be_bools(self, value):
         with pytest.raises(ValueError, match="las_enabled entries must be true or false"):
@@ -378,13 +483,13 @@ class TestRhoGroups:
     def test_singular_trials_are_drawn_once_per_group(self, monkeypatch):
         # ZF with nt > nr: every trial aborts, and each is drawn once, not once per cell
         draws = []
-        real_draw = montecarlo.draw
+        real_draws = montecarlo._draws
 
         def counted(*args):
-            draws.append(args[-1])
-            return real_draw(*args)
+            draws.extend(range(*args[-2:]))  # the block draw's [start, stop)
+            return real_draws(*args)
 
-        monkeypatch.setattr(montecarlo, "draw", counted)
+        monkeypatch.setattr(montecarlo, "_draws", counted)
         rhos = [0.8, 0.85, 0.9, 0.95, 1.0, 1.05, 1.1, 1.15, 1.2]
         cfg = ExperimentConfig(nt=4, nr=2, snr_db=10, detector="zf", rho=rhos, n_f=8,
                                max_trials=600)
