@@ -7,7 +7,7 @@ threshold-optimization, and convergence experiments.
 """
 
 from .channel import ChannelInstance, SnrSpec, assemble, hardening_metric, sample_bpsk, sample_channel
-from .complexity import BenchmarkStats, CostKind, ReconciliationReport, benchmark, flops_closed_form, reconcile
+from .complexity import CostKind, ReconciliationReport, flops_closed_form, reconcile
 from .detectors import DetectorKind, detect, mf, mmse, slice_bpsk, zf
 from .linalg import (
     DimensionMismatchError,

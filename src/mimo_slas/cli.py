@@ -7,7 +7,7 @@ Commands::
     mimo-slas ber-antennas  BER vs paired antenna count at fixed SNR
     mimo-slas ber-rho       BER vs selectivity factor (search always on)
     mimo-slas trace         mean likelihood/BER per step (step 0 = initializer)
-    mimo-slas flops         cost-model reconciliation table (optionally timed)
+    mimo-slas flops         cost-model reconciliation table
     mimo-slas selfcheck     randomized property suite; exit 1 on any failure
 
 Shared conventions:
@@ -45,10 +45,10 @@ import re
 import sys
 
 from .channel import SnrSpec
-from .complexity import CostKind, benchmark, flops_closed_form, reconcile
+from .complexity import CostKind, flops_closed_form, reconcile
 from .detectors import DetectorKind, detect, mf, slice_bpsk
 from .linalg import FlopCounter, SingularMatrixError
-from .montecarlo import ExperimentConfig, PointSpec, draw, run_sweep, run_trace
+from .montecarlo import ExperimentConfig, PointSpec, check_distinct, draw, run_sweep, run_trace
 from .selfcheck import run_selfcheck
 from .slas import full_recompute_step_flops, precompute, run
 
@@ -95,7 +95,6 @@ FLOPS_COLUMNS = [
     "verdict",
     "notes",
 ]
-BENCH_COLUMNS = ["median_s", "p10_s", "p90_s"]
 
 _POW2 = [1, 2, 4, 8, 16, 32, 64, 128, 256]
 _TABLE_N = [1, 2, 4, 16, 32, 64, 128, 256]
@@ -138,7 +137,6 @@ PRESETS: dict[str, tuple[str, dict]] = {
          "n_f": 100, "detector": "mf"},
     ),
     "fig9": ("flops", {}),
-    "fig10": ("flops", {"benchmark": True}),
 }
 
 _BER_DEFAULTS = {"rho": 1.0, "n_f": 100, "max_trials": 100_000, "min_bit_errors": 5,
@@ -156,7 +154,7 @@ DEFAULTS: dict[str, dict] = {
                 "rho": _RHO_GRID},
     "trace": {"nt": 128, "nr": 128, "snr_db": [5.0, 10.0, 20.0], "rho": [1.0],
               "detector": "mf", "n_f": 128, "max_trials": 50, "master_seed": 0},
-    "flops": {"nt": _POW2, "n_f": _POW2, "benchmark": False, "reps": 11, "master_seed": 0},
+    "flops": {"nt": _POW2, "n_f": _POW2, "master_seed": 0},
     "selfcheck": {"instances": 1000, "inject_fault": "none", "master_seed": 0},
 }
 _LAS_AXIS = {"on": (True,), "off": (False,), "both": (False, True)}
@@ -372,8 +370,8 @@ def cmd_trace(args, parser) -> int:
     return 0
 
 
-def _flops_row(report, bench=None) -> dict:
-    row = {
+def _flops_row(report) -> dict:
+    return {
         "nt": report.nt,
         "nr": report.nr,
         "n_f": report.n_f if report.n_f is not None else "",
@@ -385,38 +383,27 @@ def _flops_row(report, bench=None) -> dict:
         "verdict": report.verdict,
         "notes": report.notes,
     }
-    if bench is not None:
-        for column in BENCH_COLUMNS:
-            row[column] = f"{getattr(bench, column):.6e}"
-    return row
 
 
 def cmd_flops(args, parser) -> int:
     settings = _settings(args, parser)
-    seed, reps, do_bench = settings["master_seed"], settings["reps"], settings["benchmark"]
+    for name in ("nt", "n_f"):
+        check_distinct(name, settings[name])
+    seed = settings["master_seed"]
     snr = SnrSpec(10.0)
     rows = []
-    columns = FLOPS_COLUMNS + (BENCH_COLUMNS if do_bench else [])
     for n in settings["nt"]:
         inst = draw(seed, n, n, snr.snr_db, 0)
         for kind in (CostKind.MF, CostKind.ZF, CostKind.MMSE):
             counter = FlopCounter()
             detect(DetectorKind(kind.value), inst.h, inst.y, snr, counter)
-            bench = (
-                benchmark(kind, n, n, repetitions=reps, seed=seed) if do_bench else None
-            )
-            rows.append(_flops_row(reconcile(kind, n, n, counter), bench))
+            rows.append(_flops_row(reconcile(kind, n, n, counter)))
         b0 = slice_bpsk(mf(inst.h, inst.y))
         for n_f in settings["n_f"]:
             pre_counter = FlopCounter()
             ws = precompute(inst.h, inst.y, pre_counter)
             counter = FlopCounter()
             run(ws, b0, 1.0, n_f, counter=counter)
-            bench = (
-                benchmark(CostKind.LAS, n, n, n_f=n_f, repetitions=reps, seed=seed)
-                if do_bench
-                else None
-            )
             # the full-recompute row is priced by the per-step model, not measured
             priced = (("full-recompute", full_recompute_step_flops(n) * n_f),
                       ("incremental", counter))
@@ -425,10 +412,8 @@ def cmd_flops(args, parser) -> int:
                     CostKind.LAS, n, n, measured, n_f=n_f,
                     extra_note=f"workspace precompute (counted separately)={pre_counter.total}",
                 )
-                row = _flops_row(report, bench)
-                row["mode"] = mode
-                rows.append(row)
-    _write_rows(args, columns, rows)
+                rows.append({**_flops_row(report), "mode": mode})
+    _write_rows(args, FLOPS_COLUMNS, rows)
     return 0
 
 
@@ -460,9 +445,6 @@ _FLAGS: dict[str, tuple[str, dict]] = {
     "--min-errors": ("min_bit_errors", {
         "type": int, "metavar": "MIN_ERRORS",
         "help": "stop a cell early once this many bit errors accumulate"}),
-    "--benchmark": ("benchmark", {"action": "store_true",
-                                  "help": "add wall-clock timing columns"}),
-    "--reps": ("reps", {"type": int, "help": "timing repetitions (>= 5)"}),
     "--instances": ("instances", {"type": int}),
     "--inject-fault": ("inject_fault", {
         "choices": ["none", "grad-sign"],
@@ -493,9 +475,8 @@ COMMANDS = {
     "trace": ("mean likelihood/BER per search step", cmd_trace,
               ["--nt", "--nr", "--snr-list", "--rho-list", "--detector", "--steps",
                "--trials", *_RUN_FLAGS]),
-    "flops": ("cost-model reconciliation (and timing)", cmd_flops,
-              ["--n-list", "--steps-list", "--benchmark", "--reps", "--seed", "--out",
-               "--format", "--preset"]),
+    "flops": ("cost-model reconciliation", cmd_flops,
+              ["--n-list", "--steps-list", "--seed", "--out", "--format", "--preset"]),
     "selfcheck": ("randomized property suite", cmd_selfcheck,
                   ["--instances", "--seed", "--inject-fault"]),
 }

@@ -1,4 +1,4 @@
-"""Closed-form detector cost models, reconciliation, and wall-clock timing.
+"""Closed-form detector cost models and their reconciliation with counts.
 
 Closed forms (real flops; ``ceil23(n) = ceil(2*n^3/3)`` is the inversion lump):
 
@@ -19,24 +19,16 @@ and :func:`reconcile` says so in its notes rather than hiding the gap.
 from __future__ import annotations
 
 import enum
-import time
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import detectors
-from .channel import SnrSpec
 from .linalg import FlopCounter, gauss_invert_flops
-from .montecarlo import draw
-from .slas import full_recompute_step_flops, precompute, run
+from .slas import full_recompute_step_flops
 
 __all__ = [
     "CostKind",
     "ReconciliationReport",
-    "BenchmarkStats",
     "flops_closed_form",
     "reconcile",
-    "benchmark",
 ]
 
 
@@ -58,18 +50,6 @@ class ReconciliationReport:
     relative_error: float
     verdict: str  # EXACT | WITHIN_TOL | DIVERGENT
     notes: str
-
-
-@dataclass(frozen=True)
-class BenchmarkStats:
-    kind: CostKind
-    nt: int
-    nr: int
-    n_f: int | None
-    repetitions: int
-    median_s: float
-    p10_s: float
-    p90_s: float
 
 
 def flops_closed_form(
@@ -158,52 +138,3 @@ def reconcile(
         notes=notes,
     )
 
-
-def benchmark(
-    kind: CostKind | str,
-    nt: int,
-    nr: int,
-    n_f: int | None = None,
-    repetitions: int = 11,
-    seed: int = 0,
-) -> BenchmarkStats:
-    """Median/p10/p90 wall-clock seconds for one detection call.
-
-    Repetition k runs on the Monte-Carlo draw of trial k at 10 dB (see
-    :func:`mimo_slas.montecarlo.draw`), which sits outside the timed region.
-    The search runs at rho = 1; its scope includes workspace precompute and
-    the initial gradient but not the initializer's own linear detection (the
-    matched-filter stage is shared, so it is charged to the linear detector
-    it belongs to).  Single-threaded, ``repetitions >= 5``.
-    """
-    kind = CostKind(kind)
-    if repetitions < 5:
-        raise ValueError(f"repetitions must be >= 5, got {repetitions}")
-    if kind is CostKind.LAS and (n_f is None or n_f < 0):
-        raise ValueError(f"benchmarking the search needs n_f >= 0, got {n_f}")
-    det = None if kind is CostKind.LAS else detectors.DetectorKind(kind.value)
-    snr = SnrSpec(10.0)
-    times = []
-    for rep in range(repetitions):
-        inst = draw(seed, nt, nr, 10.0, rep)
-        if kind is CostKind.LAS:
-            b0 = detectors.slice_bpsk(detectors.mf(inst.h, inst.y))
-            t0 = time.perf_counter()
-            ws = precompute(inst.h, inst.y)
-            run(ws, b0, 1.0, n_f)
-            times.append(time.perf_counter() - t0)
-        else:
-            t0 = time.perf_counter()
-            detectors.detect(det, inst.h, inst.y, snr)
-            times.append(time.perf_counter() - t0)
-    arr = np.array(times)
-    return BenchmarkStats(
-        kind=kind,
-        nt=nt,
-        nr=nr,
-        n_f=n_f if kind is CostKind.LAS else None,
-        repetitions=repetitions,
-        median_s=float(np.median(arr)),
-        p10_s=float(np.percentile(arr, 10)),
-        p90_s=float(np.percentile(arr, 90)),
-    )

@@ -63,6 +63,7 @@ __all__ = [
     "BerPoint",
     "TraceAggregate",
     "trial_rng",
+    "check_distinct",
     "check_snr_keys",
     "draw",
     "trial",
@@ -208,14 +209,10 @@ class ExperimentConfig:
             )
         if any(n < 1 for n in self.nt + self.nr):
             raise ValueError("antenna counts must be >= 1")
-        # a repeated value would run its cells again and write their rows twice
         for name, axis in (("(nt, nr)", tuple(zip(self.nt, self.nr))), ("snr_db", self.snr_db),
                            ("rho", self.rho), ("detector", self.detector),
                            ("las_enabled", self.las_enabled)):
-            repeated = next((v for i, v in enumerate(axis) if v in axis[:i]), None)
-            if repeated is not None:
-                shown = repeated.value if isinstance(repeated, DetectorKind) else repeated
-                raise ValueError(f"{name} has the value {shown!r} more than once")
+            check_distinct(name, axis)
         if self.n_f < 0:
             raise ValueError(f"n_f must be >= 0, got {self.n_f}")
         if self.max_trials < 1:
@@ -277,6 +274,15 @@ def _encode_snr(snr_db: float) -> int:
         raise ValueError("snr_db = -inf is not a valid operating point")
     milli = round(snr_db * 1000)
     return (abs(milli) << 1) | (1 if milli < 0 else 0)
+
+
+def check_distinct(name: str, axis) -> None:
+    """Reject a value that ``axis`` holds more than once: its cells would run
+    again and write their rows twice."""
+    repeated = next((v for i, v in enumerate(axis) if v in axis[:i]), None)
+    if repeated is not None:
+        shown = repeated.value if isinstance(repeated, DetectorKind) else repeated
+        raise ValueError(f"{name} has the value {shown!r} more than once")
 
 
 def check_snr_keys(snr_list) -> None:
@@ -406,6 +412,10 @@ def _draws(master_seed: int, nt: int, nr: int, snr_db: float, start: int, stop: 
     """
     if nt < 1 or nr < 1:
         raise ValueError(f"antenna counts must be >= 1, got nt={nt} nr={nr}")
+    # SeedSequence's error; _words would never end on a negative integer
+    for name, value in (("master_seed", master_seed), ("trial index", start)):
+        if value < 0:
+            raise ValueError(f"expected non-negative integer, got {name} {value}")
     snr = SnrSpec(snr_db)
     states = _trial_states((master_seed, nt, nr, _encode_snr(snr_db)), start, stop)
     bitgen = np.random.PCG64(0)  # set to each trial's state in turn

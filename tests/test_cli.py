@@ -378,22 +378,36 @@ class TestFlops:
             assert incremental["verdict"] == "DIVERGENT"
             assert "incremental" in incremental["notes"]
 
-    def test_benchmark_appends_timing_columns(self, capsys):
-        _, out = _run(
-            ["flops", "--n-list", "2", "--steps-list", "2", "--benchmark",
-             "--reps", "5"],
-            capsys,
-        )
-        rows = _parse_csv(out)
-        assert list(rows[0].keys()) == FLOPS_COLUMNS + ["median_s", "p10_s", "p90_s"]
-        assert all(float(r["median_s"]) > 0 for r in rows)
-
-    @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--config", "f.json"]])
+    # --benchmark and --reps fed a wall-clock timer that perfbench replaces
+    @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--config", "f.json"],
+                                      ["--benchmark"], ["--reps", "5"]])
     def test_takes_no_jobs_or_config(self, flag, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(["flops", "--n-list", "2", "--steps-list", "2"] + flag)
         assert exc_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lists,message", [
+        (["--n-list", "2,2", "--steps-list", "4"], "nt has the value 2 more than once"),
+        (["--n-list", "2", "--steps-list", "4,4"], "n_f has the value 4 more than once"),
+    ])
+    def test_repeated_values_exit_2(self, lists, message, capsys):
+        # a repeated value would write its rows twice
+        with pytest.raises(SystemExit) as exc_info:
+            main(["flops", *lists])
+        assert exc_info.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("env", [False, True])
+    def test_negative_seed_exits_2(self, env, capsys, monkeypatch):
+        seed = ["--seed", "-1"]
+        if env:
+            monkeypatch.setenv("MIMO_SLAS_SEED", "-1")
+            seed = []
+        with pytest.raises(SystemExit) as exc_info:
+            main(["flops", "--n-list", "2", "--steps-list", "2", *seed])
+        assert exc_info.value.code == 2
+        assert "expected non-negative integer" in capsys.readouterr().err
 
 
 class TestSelfcheck:
@@ -423,10 +437,15 @@ class TestUsageErrors:
             main(["ber-snr", "--bogus"])
         assert exc_info.value.code == 2
 
-    def test_preset_bound_to_other_command_rejected(self):
+    def test_preset_bound_to_other_command_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(["ber-snr", "--preset", "fig3"])
         assert exc_info.value.code == 2
+        # fig10, the timed flops table, is no preset any more
+        with pytest.raises(SystemExit) as exc_info:
+            main(["flops", "--preset", "fig10"])
+        assert exc_info.value.code == 2
+        assert "invalid choice: 'fig10'" in capsys.readouterr().err
 
     def test_bad_list_syntax_exits_2(self):
         with pytest.raises(SystemExit) as exc_info:
@@ -551,7 +570,7 @@ class TestJobs:
 
 
 def test_presets_cover_every_figure_family():
-    assert set(PRESETS) == {f"fig{i}" for i in range(1, 11)}
+    assert set(PRESETS) == {f"fig{i}" for i in range(1, 10)}
     commands = {cmd for cmd, _ in PRESETS.values()}
     assert commands == {"ber-snr", "ber-antennas", "ber-rho", "trace", "flops"}
 

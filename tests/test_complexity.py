@@ -4,18 +4,10 @@ and end-to-end agreement with instrumented detector runs."""
 import numpy as np
 import pytest
 
-from mimo_slas import complexity, detectors
 from mimo_slas.channel import SnrSpec, assemble, sample_bpsk, sample_channel
-from mimo_slas.complexity import (
-    BenchmarkStats,
-    CostKind,
-    benchmark,
-    flops_closed_form,
-    reconcile,
-)
+from mimo_slas.complexity import CostKind, flops_closed_form, reconcile
 from mimo_slas.detectors import mf, mmse, slice_bpsk, zf
 from mimo_slas.linalg import FlopCounter
-from mimo_slas.montecarlo import draw
 from mimo_slas.slas import full_recompute_step_flops, precompute, run
 
 # matched filter at nt == nr, from 8*n^2 - 2*n
@@ -127,46 +119,3 @@ def test_extra_note_is_appended():
     report = reconcile(CostKind.MF, 4, 4, 120, extra_note="includes warmup")
     assert report.notes.endswith("includes warmup")
 
-
-def test_benchmark_smoke():
-    stats = benchmark(CostKind.MF, 8, 8, repetitions=5, seed=0)
-    assert isinstance(stats, BenchmarkStats)
-    assert stats.repetitions == 5
-    assert 0.0 < stats.p10_s <= stats.median_s <= stats.p90_s
-    assert stats.n_f is None
-
-
-def test_benchmark_search_includes_n_f():
-    stats = benchmark(CostKind.LAS, 8, 8, n_f=16, repetitions=5, seed=1)
-    assert stats.n_f == 16
-    assert stats.median_s > 0.0
-
-
-@pytest.mark.parametrize("kind,n_f", [(CostKind.MMSE, None), (CostKind.LAS, 6)])
-def test_benchmark_times_the_monte_carlo_draws(kind, n_f, monkeypatch):
-    # repetition k runs on trial k's draw at 10 dB, not on a stream of its own
-    drawn, timed = [], []
-    monkeypatch.setattr(complexity, "draw", lambda *key: drawn.append(draw(*key)) or drawn[-1])
-    real_detect, real_precompute = detectors.detect, complexity.precompute
-    monkeypatch.setattr(detectors, "detect",
-                        lambda kind, h, *rest: timed.append(h) or real_detect(kind, h, *rest))
-    monkeypatch.setattr(complexity, "precompute",
-                        lambda h, y: timed.append(h) or real_precompute(h, y))
-    benchmark(kind, 4, 6, n_f=n_f, repetitions=5, seed=3)
-    assert len(drawn) == len(timed) == 5
-    for rep, (inst, h) in enumerate(zip(drawn, timed)):
-        assert h is inst.h
-        np.testing.assert_array_equal(h, draw(3, 4, 6, 10.0, rep).h)
-
-
-@pytest.mark.parametrize("keyword", ["snr_db", "rho"])
-def test_benchmark_takes_no_snr_or_rho(keyword):
-    with pytest.raises(TypeError):
-        benchmark(CostKind.LAS, 4, 4, n_f=4, repetitions=5, **{keyword: 10.0})
-
-
-def test_benchmark_guards():
-    with pytest.raises(ValueError):
-        benchmark(CostKind.MF, 8, 8, repetitions=3)
-    with pytest.raises(ValueError):
-        benchmark(CostKind.LAS, 8, 8, repetitions=5)  # n_f missing

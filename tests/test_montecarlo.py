@@ -94,6 +94,14 @@ class TestDraw:
             bits = slice_bpsk(mf(inst.h, inst.y))
             assert trial(p, idx)[0] == int(np.sum(bits != inst.b_true))
 
+    @pytest.mark.parametrize("seed,index", [(-1, 0), (0, -1)])
+    def test_negative_seed_or_index_is_rejected_as_by_trial_rng(self, seed, index):
+        # the block draw must fail as the reference does, not loop on the key
+        with pytest.raises(ValueError) as reference:
+            trial_rng(seed, 2, 2, 10.0, index)
+        with pytest.raises(ValueError, match=re.escape(str(reference.value))):
+            draw(seed, 2, 2, 10.0, index)
+
 
 def _reference_draw(master_seed, nt, nr, snr_db, index):
     """A trial's inputs as the seed contract defines them."""
