@@ -37,7 +37,10 @@ budget, ``_BLOCK_BYTES`` (1 MiB: about 60 trials of nine cells at 32x32,
 seven trials at 128x128); a block never crosses a chunk, and no output
 depends on either size.  :func:`trial` stays the unit of work: every counted
 (cell, trial) pair is one call, and the block is computed by the first call
-that needs it.
+that needs it.  Both the sweep and :func:`run_trace` keep at most ``n_jobs``
+chunks in flight and consume them in chunk order; a trace sums each chunk
+into running totals as it arrives, so it holds at most ``n_jobs`` chunks of
+rows whatever its trial count.
 """
 
 from __future__ import annotations
@@ -688,36 +691,66 @@ def run_sweep(cfg: ExperimentConfig, n_jobs: int = 1) -> list[BerPoint]:
 
 
 def _trace_chunk(point: PointSpec, start: int, stop: int):
+    """Trials [start, stop)'s likelihood rows (trials x (n_f + 1)) and the
+    per-step sums of their bit errors."""
     lams = np.empty((stop - start, point.n_f + 1), dtype=np.float64)
-    errs = np.empty((stop - start, point.n_f + 1), dtype=np.int64)
+    err_sum = np.zeros(point.n_f + 1, dtype=np.int64)
     with _planned([point], start, stop):
         for i in range(start, stop):
             _, tr = trial(point, i, record_trace=True)
             lams[i - start, 0] = tr.initial_likelihood
             lams[i - start, 1:] = tr.likelihood
-            errs[i - start, 0] = tr.initial_bit_errors
-            errs[i - start, 1:] = tr.bit_errors
-    return lams, errs
+            err_sum[0] += tr.initial_bit_errors
+            err_sum[1:] += tr.bit_errors
+    return lams, err_sum
 
 
 def run_trace(point: PointSpec, trials: int, n_jobs: int = 1) -> TraceAggregate:
-    """Average likelihood/BER trajectories over a fixed trial count."""
+    """Average likelihood/BER trajectories over a fixed trial count.
+
+    Chunks of ``_CHUNK`` trials run with at most ``n_jobs`` in flight (in
+    process for one job or one chunk), and each is summed into running
+    totals in chunk order as it arrives, so memory does not grow with
+    ``trials``.  numpy adds the rows of a matrix of two or more columns one
+    at a time, so the running likelihood sum equals the sum of all the rows
+    bit for bit; a single column (``n_f = 0``) it adds pairwise, so those
+    rows are kept (8 bytes a trial) and summed once.  Bit errors are integer
+    sums, exact in any order.
+    """
     if not point.las_enabled:
         raise ValueError("trace experiments require the search to be enabled")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    spans = [(s, min(s + _CHUNK, trials)) for s in range(0, trials, _CHUNK)]
-    if n_jobs <= 1 or len(spans) == 1:
-        parts = [_trace_chunk(point, a, b) for a, b in spans]
-    else:
-        with ProcessPoolExecutor(max_workers=n_jobs) as executor:
-            futures = [executor.submit(_trace_chunk, point, a, b) for a, b in spans]
-            parts = [f.result() for f in futures]
-    lams = np.vstack([p[0] for p in parts])
-    errs = np.vstack([p[1] for p in parts])
+    starts = iter(range(0, trials, _CHUNK))
+    executor = (ProcessPoolExecutor(max_workers=n_jobs)
+                if n_jobs > 1 and trials > _CHUNK else None)
+    pending: deque = deque()  # (lams, err_sum) or futures of them, in chunk order
+    held: list = []  # likelihood rows not yet summed, in trial order
+    err_sum = 0
+    try:
+        while True:
+            while (len(pending) < (1 if executor is None else n_jobs)
+                   and (start := next(starts, None)) is not None):
+                args = (point, start, min(start + _CHUNK, trials))
+                pending.append(_trace_chunk(*args) if executor is None
+                               else executor.submit(_trace_chunk, *args))
+            if not pending:
+                break
+            part = pending.popleft()
+            lams, errs = part if executor is None else part.result()
+            held.append(lams)
+            if point.n_f:
+                held = [np.add.reduce(np.vstack(held), axis=0, keepdims=True)]
+            err_sum = err_sum + errs
+    finally:
+        if executor is not None:
+            # wait=False would let the pool's manager thread close its wakeup
+            # pipe while Python 3.11's exit hook writes to it ("Bad file
+            # descriptor" on stderr); this waits at most for the chunks in flight
+            executor.shutdown(cancel_futures=True)
     return TraceAggregate(
         point=point,
         trials=trials,
-        mean_likelihood=lams.mean(axis=0),
-        mean_ber=errs.mean(axis=0) / point.nt,
+        mean_likelihood=np.add.reduce(np.vstack(held), axis=0) / trials,
+        mean_ber=err_sum / trials / point.nt,
     )

@@ -3,6 +3,7 @@ stopping behavior, and the sweep grid."""
 
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -589,6 +590,36 @@ class TestRunTrace:
         b = run_trace(p, trials=40, n_jobs=2)
         np.testing.assert_array_equal(a.mean_likelihood, b.mean_likelihood)
         np.testing.assert_array_equal(a.mean_ber, b.mean_ber)
+
+    @pytest.mark.parametrize("n_f", [8, 0])
+    def test_pooled_chunks_equal_sequential_and_the_mean_over_trials(self, n_f, monkeypatch):
+        # seven chunks, the last of four trials, so the pool runs and sums
+        # across chunk boundaries; n_f = 0 leaves a single column to average
+        monkeypatch.setattr(montecarlo, "_CHUNK", 16)
+        p = _point(n_f=n_f)
+        traces = [trial(p, i, record_trace=True)[1] for i in range(100)]
+        lams = np.mean([np.concatenate(([t.initial_likelihood], t.likelihood))
+                        for t in traces], axis=0)
+        bers = np.mean([np.concatenate(([t.initial_bit_errors], t.bit_errors))
+                        for t in traces], axis=0) / p.nt
+        for n_jobs in (1, 2):
+            agg = run_trace(p, trials=100, n_jobs=n_jobs)
+            assert agg.mean_likelihood.tobytes() == lams.tobytes(), n_jobs
+            assert agg.mean_ber.tobytes() == bers.tobytes(), n_jobs
+
+    def test_memory_does_not_grow_with_trials(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_CHUNK", 64)
+        p = _point(n_f=256)
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                run_trace(p, trials, n_jobs=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(16 * 64) <= 1.25 * peak(4 * 64)
 
     def test_requires_search_enabled(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,9 @@
 #     diff -r /tmp/a /tmp/b
 #
 # The rho-sweep command is the benchmark's selectivity sweep at seed 0; it is
-# written at --jobs 1 and --jobs 2, and the two files must be identical.
+# written at --jobs 1 and --jobs 2, and the two files must be identical.  So
+# is the three-chunk trace (1,300 trials: two chunks of 512 and one of 276),
+# which sums its rows across chunk boundaries.
 # The two 128x128 commands are the benchmark's mmse-128 and trace-128 cells
 # at fewer trials; they run the search in blocks of a few trials.
 # The commands after it are cheap runs of each way a setting can be given: a
@@ -46,6 +48,10 @@ for jobs in 1 2; do
     cli "rho-sweep-jobs$jobs" ber-rho --n-list 32 --snr-list 10 \
         --rho-list 0.8,0.85,0.9,0.95,1,1.05,1.1,1.15,1.2 --detector mf \
         --steps 90 --trials 100000 --min-errors 25 --seed 0 --jobs "$jobs"
+done
+for jobs in 1 2; do
+    cli "trace-3chunks-jobs$jobs" trace --nt 8 --nr 8 --snr-list 10 \
+        --rho-list 0.9,1 --steps 24 --trials 1300 --jobs "$jobs"
 done
 cli mmse-128 ber-snr --nt 128 --nr 128 --las on --rho 1 --min-errors 12800 \
     --snr-list=-10 --detector mmse --steps 128 --trials 20
