@@ -1,21 +1,27 @@
 """Linear uplink detectors: matched filter, zero forcing, and MMSE.
 
-All three charge their instrumented real-flop cost to the caller's
-:class:`~mimo_slas.linalg.FlopCounter`, when one is passed, and return the
-complex soft values as an array; :func:`slice_bpsk` turns them into the +-1
-array the search starts from.  ZF and MMSE still form the explicit filter
-matrix ``W = G^-1 H^H``, now by solving ``G W = H^H``
-(:func:`~mimo_slas.linalg.hermitian_solve`) rather than by inverting ``G``,
-and then apply it to ``y``.  The solve is charged the inversion lump plus
-the product with ``H^H`` — the explicit-``W`` order, deliberately not the
-cheaper "invert, then multiply the matched-filter vector" one — so the
-instrumented totals line up with the closed-form cost models in
-:mod:`mimo_slas.complexity`.
+All three are functions of the Gram matrix ``G = H^H H`` and the
+matched-filter output ``z = H^H y``: MF returns ``z``, ZF solves ``G x = z``
+and MMSE solves ``(G + (n0/es) I) x = z`` (:func:`equalize`, one solve by
+:func:`~mimo_slas.linalg.hermitian_solve`).  :func:`mf`, :func:`zf` and
+:func:`mmse` take the channel and the observation, charge their instrumented
+real-flop cost to the caller's :class:`~mimo_slas.linalg.FlopCounter`, when
+one is passed, and return the complex soft values as an array;
+:func:`slice_bpsk` turns them into the +-1 array the search starts from.
 
-A detector that raises :class:`~mimo_slas.linalg.SingularMatrixError` may
-already have charged the Gram product to the counter.  Of the callers that
-catch the error, ``cli._measured_detection_flops`` discards its counter and
-``montecarlo._block`` passes none.
+ZF and MMSE never form the filter matrix ``W = G^-1 H^H``, but they are
+charged as if they did: the Gram product, then, once the solve has
+succeeded, the inversion lump, the ``(nt x nt)(nt x nr)`` product that forms
+``W`` and the ``nt x nr`` application to ``y``.  That explicit-``W`` order,
+deliberately not the cheaper "invert, then multiply the matched-filter
+vector" one, is the cost model of the paper, so the instrumented totals line
+up with the closed-form cost models in :mod:`mimo_slas.complexity`.
+
+A detector that raises :class:`~mimo_slas.linalg.SingularMatrixError` has
+charged the Gram product (and MMSE its regularization) but nothing after it;
+``cli._measured_detection_flops``, which catches the error, discards its
+counter.  ``montecarlo._block`` forms each trial's ``G`` and ``z`` once, for
+detection and for the search workspace, and calls :func:`equalize`.
 """
 
 from __future__ import annotations
@@ -25,9 +31,18 @@ import enum
 import numpy as np
 
 from .channel import SnrSpec
-from .linalg import FlopCounter, hermitian_solve, hermitian_transpose, mat_mul, mat_vec
+from .linalg import (
+    FlopCounter,
+    gauss_invert_flops,
+    hermitian_solve,
+    hermitian_transpose,
+    mat_mul,
+    mat_mul_flops,
+    mat_vec,
+    mat_vec_flops,
+)
 
-__all__ = ["DetectorKind", "mf", "zf", "mmse", "detect", "slice_bpsk"]
+__all__ = ["DetectorKind", "mf", "zf", "mmse", "detect", "equalize", "slice_bpsk"]
 
 
 class DetectorKind(str, enum.Enum):
@@ -43,35 +58,41 @@ def mf(h: np.ndarray, y: np.ndarray, counter: FlopCounter | None = None) -> np.n
 
 
 def zf(h: np.ndarray, y: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
-    """Zero forcing (G^-1 H^H) y with G = H^H H.
+    """Zero forcing G^-1 (H^H y) with G = H^H H, charged as (G^-1 H^H) y.
 
     Propagates :class:`~mimo_slas.linalg.SingularMatrixError` when the Gram
     matrix is numerically singular (e.g. nt > nr).
     """
-    hh = hermitian_transpose(h)
-    gram = mat_mul(hh, h, counter)
-    filt = hermitian_solve(gram, hh, counter)
-    return mat_vec(filt, y, counter)
+    return _filtered(DetectorKind.ZF, h, y, None, counter)
 
 
 def mmse(
     h: np.ndarray, y: np.ndarray, snr: SnrSpec, counter: FlopCounter | None = None
 ) -> np.ndarray:
-    """MMSE filter ((G + (n0/es) I)^-1 H^H) y.
+    """MMSE (G + (n0/es) I)^-1 (H^H y), charged as ((G + (n0/es) I)^-1 H^H) y.
 
     Regularizing the Gram diagonal charges 2*nt multiplications (real scalar
     times the complex identity diagonal) plus 2*nt additions (complex
     diagonal add).  With n0 = 0 this degrades to ZF exactly.
     """
-    hh = hermitian_transpose(h)
-    gram = mat_mul(hh, h, counter)
-    nt = gram.shape[0]
-    reg = gram.copy()
-    reg[np.diag_indices(nt)] += snr.n0 / snr.es
     if counter is not None:
+        nt = np.shape(h)[-1]
         counter.charge(additions=2 * nt, multiplications=2 * nt)
-    filt = hermitian_solve(reg, hh, counter)
-    return mat_vec(filt, y, counter)
+    return _filtered(DetectorKind.MMSE, h, y, snr, counter)
+
+
+def _filtered(kind, h, y, snr, counter):
+    """:func:`equalize` from the channel and the observation, charged as
+    forming the explicit filter and applying it (see the module docstring)."""
+    hh = hermitian_transpose(h)
+    soft = equalize(kind, mat_mul(hh, h, counter), mat_vec(hh, y), snr)
+    if counter is not None:
+        nt, nr = hh.shape
+        form_adds, form_mults = mat_mul_flops(nt, nr, nt)
+        apply_adds, apply_mults = mat_vec_flops(nt, nr)
+        counter.charge(additions=form_adds + apply_adds,
+                       multiplications=gauss_invert_flops(nt) + form_mults + apply_mults)
+    return soft
 
 
 def detect(
@@ -90,6 +111,28 @@ def detect(
     if kind == DetectorKind.MMSE:
         return mmse(h, y, snr, counter)
     raise ValueError(f"unknown detector: {kind!r}")
+
+
+def equalize(
+    kind: DetectorKind, gram: np.ndarray, z: np.ndarray, snr: SnrSpec | None
+) -> np.ndarray:
+    """The soft values of detector ``kind`` from the Gram matrix ``G = H^H H``
+    and the matched-filter output ``z = H^H y`` (``snr`` is read by MMSE only).
+
+    MF returns ``z`` itself, and takes stacks.  ZF returns ``G^-1 z`` and
+    MMSE ``(G + (n0/es) I)^-1 z``, each by one
+    :func:`~mimo_slas.linalg.hermitian_solve` of a single trial, which raises
+    :class:`~mimo_slas.linalg.SingularMatrixError` for a numerically singular
+    matrix.  Charges nothing: :func:`zf` and :func:`mmse` price the filter.
+    """
+    if kind == DetectorKind.MF:
+        return z
+    if kind == DetectorKind.MMSE:
+        gram = gram.copy()
+        gram[np.diag_indices(gram.shape[-1])] += snr.n0 / snr.es
+    elif kind != DetectorKind.ZF:
+        raise ValueError(f"unknown detector: {kind!r}")
+    return hermitian_solve(gram, z)
 
 
 def slice_bpsk(soft: np.ndarray) -> np.ndarray:

@@ -18,12 +18,13 @@ flops and ``2*m*n*(p-1)`` addition flops.  Matrix inversion is charged the
 textbook lump cost ``ceil(2/3 * n^3)`` so that instrumented totals line up
 with the closed-form detector cost models in :mod:`mimo_slas.complexity`.
 
-The ZF and MMSE filters ``G^-1 B`` are computed by :func:`hermitian_solve`
-through numpy's LAPACK (a Cholesky check, then a solve) and charged as if
-the inverse had been formed: the inversion lump plus the product with ``B``.
-:func:`gauss_invert`, Gauss-Jordan elimination with partial pivoting, is the
-reference the tests compare against and the path that decides, and reports,
-a numerically singular matrix.
+The ZF and MMSE soft values ``G^-1 z`` are computed by :func:`hermitian_solve`
+through numpy's LAPACK (a Cholesky check, then a solve for the one vector
+``z``), with no filter matrix formed.  It charges nothing: the detectors
+price the explicit filter of the paper's cost model (see
+:mod:`mimo_slas.detectors`).  :func:`gauss_invert`, Gauss-Jordan elimination
+with partial pivoting, is the reference the tests compare against and the
+path that decides, and reports, a numerically singular matrix.
 """
 
 from __future__ import annotations
@@ -209,39 +210,34 @@ def gauss_invert(a: np.ndarray, counter: FlopCounter | None = None) -> np.ndarra
 _CHOLESKY_MARGIN = 1e4
 
 
-def hermitian_solve(
-    a: np.ndarray, b: np.ndarray, counter: FlopCounter | None = None
-) -> np.ndarray:
-    """``a^-1 b`` for a Hermitian positive-definite ``a`` (a Gram matrix).
+def hermitian_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a^-1 b`` for a Hermitian positive-definite ``a`` (a Gram matrix) and a
+    vector or matrix ``b``; uncharged.
 
-    Charges what ``mat_mul(gauss_invert(a), b)`` charges: the lump
-    ceil(2/3 * n^3), then the (n x n)(n x m) product.  A Cholesky
-    factorization checks that ``a`` is positive definite with every squared
-    pivot ``|L_kk|^2`` at least ``_CHOLESKY_MARGIN * _PIVOT_TOL``;
-    ``np.linalg.solve`` then forms the result.  A matrix that fails the
-    check goes to :func:`gauss_invert`, which raises
+    A Cholesky factorization checks that ``a`` is positive definite with
+    every squared pivot ``|L_kk|^2`` at least ``_CHOLESKY_MARGIN *
+    _PIVOT_TOL``; ``np.linalg.solve`` then forms the result.  A matrix that
+    fails the check goes to :func:`gauss_invert`, which raises
     :class:`SingularMatrixError` naming the pivot column, or returns the
     inverse that is then multiplied by ``b``.  Near the tolerance it is
-    therefore ``gauss_invert`` that decides, and reports, singularity.
+    therefore ``gauss_invert`` that decides, and reports, singularity, and
+    the verdict does not depend on ``b``.
     """
     a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
+    b = np.asarray(b, dtype=np.complex128)
     n, m = a.shape
     if n != m:
         raise DimensionMismatchError(f"cannot invert non-square {n}x{m} matrix")
-    if b.shape[0] != n:
+    if b.ndim not in (1, 2) or b.shape[0] != n:
         raise DimensionMismatchError(
-            f"cannot solve a {n}x{n} system for {b.shape[0]}x{b.shape[1]} right-hand sides"
+            f"cannot solve a {n}x{n} system for right-hand sides of shape {b.shape}"
         )
     try:
         pivots = np.abs(np.diagonal(np.linalg.cholesky(a))) ** 2
     except np.linalg.LinAlgError:
         pivots = None
     if pivots is None or np.any(pivots < _CHOLESKY_MARGIN * _PIVOT_TOL):
-        return mat_mul(gauss_invert(a, counter), b, counter)
-    if counter is not None:
-        adds, mults = mat_mul_flops(n, b.shape[1], n)
-        counter.charge(additions=adds, multiplications=mults + gauss_invert_flops(n))
+        return gauss_invert(a) @ b
     return np.linalg.solve(a, b)
 
 

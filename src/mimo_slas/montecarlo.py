@@ -23,8 +23,9 @@ reference's order, and forms the stacked channel, payload, noise and
 observation with the reference's elementwise formulas.  ``TestBlockDraw``
 in ``tests/test_montecarlo.py`` pins the generator states and the inputs bit
 for bit against the reference, and the stacked detection, workspace and
-search start against per-trial calls; ``tools/reference_outputs.sh`` and
-acceptance criterion 9 pin the outputs.
+search start (for ZF and MMSE, through the shared ``H^H H`` and ``H^H y``)
+against per-trial calls; ``tools/reference_outputs.sh`` and acceptance
+criterion 9 pin the outputs.
 
 Execution: cells that differ only in rho form a group and run over shared
 chunks of ``_CHUNK`` trial indices, the unit of the process pool and of the
@@ -56,9 +57,9 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .channel import ChannelInstance, SnrSpec
-from .detectors import DetectorKind, detect, slice_bpsk
-from .linalg import SingularMatrixError
-from .slas import SlasBlock, SlasTrace, SlasWorkspace, precompute, run
+from .detectors import DetectorKind, equalize, mf, slice_bpsk
+from .linalg import SingularMatrixError, hermitian_transpose, mat_mul
+from .slas import SlasBlock, SlasTrace, SlasWorkspace, precompute, run, workspace
 
 __all__ = [
     "PointSpec",
@@ -504,12 +505,16 @@ def _block(cells: tuple[PointSpec, ...], start: int, stop: int) -> dict:
     """Outcomes of trials [start, stop) of cells that differ only in rho.
 
     The inputs come from :func:`_draws`, a sub-block at a time, and are
-    detected once for all the cells: MF as one stacked product per
-    sub-block, ZF and MMSE one trial at a time, so that each trial's
-    singularity verdict is its own.  A singular trial is drawn once and
-    marked aborted in every cell.  The workspaces of each sub-block are
-    precomputed as one stack and copied into the block's stacked arrays, and
-    one :func:`run` then searches every (trial, cell) row.
+    detected once for all the cells.  MF detects the sub-block as one
+    stacked product, and :func:`~mimo_slas.slas.precompute` forms its
+    workspaces.  For ZF and MMSE the sub-block's ``z = H^H y`` and
+    ``G = H^H H`` are formed once, as stacked products, and read by both
+    detection (:func:`~mimo_slas.detectors.equalize`, one trial at a time,
+    so that each trial's singularity verdict is its own) and the workspaces
+    (:func:`~mimo_slas.slas.workspace`).  A singular trial is drawn once and
+    marked aborted in every cell.  The workspaces are copied into the
+    block's stacked arrays, and one :func:`run` then searches every
+    (trial, cell) row.
     """
     p = cells[0]
     snr = SnrSpec(p.snr_db)
@@ -520,27 +525,32 @@ def _block(cells: tuple[PointSpec, ...], start: int, stop: int) -> dict:
         y_eff, zeta, bits, truth = (np.empty((n, nt)) for _ in range(4))
         h_real = np.empty((n, nt, nt))
     for first, h, b_true, _, y in _draws(p.master_seed, p.nt, p.nr, p.snr_db, start, stop):
+        z, gram = mf(h, y), None
         if p.detector is DetectorKind.MF:
             kept = range(len(h))
-            decisions = slice_bpsk(detect(p.detector, h, y, snr))
+            decisions = slice_bpsk(equalize(p.detector, gram, z, snr))
         else:
+            gram = mat_mul(hermitian_transpose(h), h)
             kept, decisions = [], []
             for k in range(len(h)):
                 try:
-                    decisions.append(slice_bpsk(detect(p.detector, h[k], y[k], snr)))
+                    decisions.append(slice_bpsk(equalize(p.detector, gram[k], z[k], snr)))
                     kept.append(k)
                 except SingularMatrixError as exc:
                     outcomes.update(((c, first + k), exc) for c in cells)
             if not kept:
                 continue
             if len(kept) < len(h):
-                h, y, b_true = h[kept], y[kept], b_true[kept]
+                gram, z, b_true = gram[kept], z[kept], b_true[kept]
         if not p.las_enabled:
             errors = np.count_nonzero(np.asarray(decisions) != b_true, axis=1)
             for k, e in zip(kept, errors.tolist()):
                 outcomes.update(((c, first + k), (e, None, None)) for c in cells)
             continue
-        ws = precompute(h, y)
+        # MF detection needs no Gram matrix, so MF keeps precompute's own:
+        # forming it above for the workspace measured 5-8% more CPU per
+        # trial on trace-128
+        ws = precompute(h, y) if gram is None else workspace(gram, z)
         rows = slice(len(searched), len(searched) + len(kept))
         y_eff[rows], h_real[rows], zeta[rows] = ws.y_eff, ws.h_real, ws.zeta_base
         bits[rows], truth[rows] = decisions, b_true

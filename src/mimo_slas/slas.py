@@ -16,7 +16,8 @@ monotonicity for a lower error floor.
 Workspace quantities (real-valued reduction of the complex model):
 
 * ``y_eff   = 2 * Re(H^H y)``  (elementwise equal to ``H^H y + conj(H^H y)``),
-* ``H_eff   = H^H H`` (formed by :func:`precompute`, not kept),
+* ``H_eff   = H^H H`` (formed by :func:`precompute`, or passed to
+  :func:`workspace` with ``H^H y``, and not kept),
 * ``H_real  = 2 * Re(H_eff)``,
 * likelihood ``L(b) = b^T y_eff - b^T Re(H_eff) b``,
 * gradient   ``g(b) = y_eff - H_real b``.
@@ -64,6 +65,7 @@ __all__ = [
     "SlasTrace",
     "SlasBlock",
     "precompute",
+    "workspace",
     "likelihood",
     "gradient_full",
     "run",
@@ -176,12 +178,19 @@ def precompute(
     """Build the search workspace from the channel estimate and observation,
     or the stacked workspaces of a stack of them (leading trial axis)."""
     hh = hermitian_transpose(h)
-    h_eff = mat_mul(hh, h, counter)
-    hy = mat_vec(hh, y, counter)
+    return workspace(mat_mul(hh, h, counter), mat_vec(hh, y, counter), counter)
+
+
+def workspace(
+    gram: np.ndarray, z: np.ndarray, counter: FlopCounter | None = None
+) -> SlasWorkspace:
+    """The search workspace from ``H_eff = H^H H`` and ``z = H^H y``, or the
+    stacked workspaces of stacks of them; :func:`precompute` after its two
+    products."""
     if counter is not None:
-        counter.charge(multiplications=hy.size)  # scaling Re(H^H y) by 2
-    y_eff = 2.0 * hy.real
-    h_real = real_part_scaled(h_eff, 2.0, counter)
+        counter.charge(multiplications=z.size)  # scaling Re(H^H y) by 2
+    y_eff = 2.0 * z.real
+    h_real = real_part_scaled(gram, 2.0, counter)
     zeta_base = np.abs(np.diagonal(h_real, axis1=-2, axis2=-1))
     return SlasWorkspace(y_eff=y_eff, h_real=h_real, zeta_base=zeta_base)
 

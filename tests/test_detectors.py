@@ -10,12 +10,22 @@ from mimo_slas.complexity import CostKind, flops_closed_form
 from mimo_slas.detectors import (
     DetectorKind,
     detect,
+    equalize,
     mf,
     mmse,
     slice_bpsk,
     zf,
 )
-from mimo_slas.linalg import FlopCounter, SingularMatrixError
+from mimo_slas.linalg import (
+    FlopCounter,
+    SingularMatrixError,
+    gauss_invert,
+    hermitian_solve,
+    hermitian_transpose,
+    mat_mul,
+    mat_vec,
+)
+from mimo_slas.montecarlo import draw
 
 
 def _instance(nt, nr, seed):
@@ -129,6 +139,56 @@ def test_mmse_costs_4nt_more_than_zf(nt, nr):
     mmse(h, y, SnrSpec(snr_db=10.0), mmse_count)
     assert mmse_count.total - zf_count.total == 4 * nt
     assert mmse_count.total == flops_closed_form(CostKind.MMSE, nt, nr)
+
+
+@pytest.mark.parametrize("nt,nr", [(1, 1), (2, 2), (8, 8), (4, 9), (32, 32)])
+def test_zf_and_mmse_charge_the_explicit_filter(nt, nr):
+    # the solve for H^H y is charged as forming W = G^-1 H^H and applying it
+    h, _, y = _instance(nt, nr, nt * 103 + nr)
+    snr = SnrSpec(snr_db=10.0)
+    for kind in (DetectorKind.ZF, DetectorKind.MMSE):
+        counter, model = FlopCounter(), FlopCounter()
+        detect(kind, h, y, snr, counter)
+        hh = hermitian_transpose(h)
+        gram = mat_mul(hh, h, model)
+        if kind is DetectorKind.MMSE:
+            model.charge(additions=2 * nt, multiplications=2 * nt)
+            gram = gram + (snr.n0 / snr.es) * np.eye(nt)
+        mat_vec(mat_mul(gauss_invert(gram, model), hh, model), y, model)
+        assert counter == model, kind
+
+
+@pytest.mark.parametrize("kind,nt,nr,snr_db", [
+    (DetectorKind.ZF, 8, 8, 0.0), (DetectorKind.ZF, 32, 32, 10.0),
+    (DetectorKind.MMSE, 16, 24, 5.0), (DetectorKind.MMSE, 32, 32, -10.0),
+])
+def test_solving_for_the_matched_filter_output_agrees_with_the_explicit_filter(
+        kind, nt, nr, snr_db):
+    # the soft values move at rounding level only, and no decision changes
+    snr = SnrSpec(snr_db)
+    worst = 0.0
+    for i in range(200):
+        inst = draw(14, nt, nr, snr_db, i)
+        hh = hermitian_transpose(inst.h)
+        gram = hh @ inst.h
+        if kind is DetectorKind.MMSE:
+            gram[np.diag_indices(nt)] += snr.n0 / snr.es
+        explicit = hermitian_solve(gram, hh) @ inst.y
+        got = detect(kind, inst.h, inst.y, snr)
+        worst = max(worst, np.max(np.abs(got - explicit)) / np.max(np.abs(explicit.real)))
+        np.testing.assert_array_equal(slice_bpsk(got), slice_bpsk(explicit), err_msg=str(i))
+    assert worst <= 1e-9
+
+
+def test_equalize_is_the_detectors_on_the_gram_matrix_and_matched_filter_output():
+    h, _, y = _instance(6, 8, 43)
+    snr = SnrSpec(10.0)
+    hh = hermitian_transpose(h)
+    gram, z = hh @ h, hh @ y
+    for kind in DetectorKind:
+        assert equalize(kind, gram, z, snr).tobytes() == detect(kind, h, y, snr).tobytes()
+    with pytest.raises(ValueError):
+        equalize("las", gram, z, snr)
 
 
 def test_external_counter_accumulates_across_calls():

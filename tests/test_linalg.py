@@ -202,26 +202,18 @@ class TestHermitianSolve:
         a = _hermitian_pd(n, 100 + n)
         rng = np.random.default_rng(200 + n)
         b = rng.standard_normal((n, n + 3)) + 1j * rng.standard_normal((n, n + 3))
-        got = hermitian_solve(a, b, FlopCounter())
-        np.testing.assert_allclose(got, gauss_invert(a, FlopCounter()) @ b, rtol=1e-9)
-
-    def test_charge_is_inverse_lump_plus_product(self):
-        a = _hermitian_pd(6, 1)
-        b = np.ones((6, 9), dtype=complex)
-        solved, reference = FlopCounter(), FlopCounter()
-        hermitian_solve(a, b, solved)
-        mat_mul(gauss_invert(a, reference), b, reference)
-        assert solved == reference
+        inverse = gauss_invert(a)
+        np.testing.assert_allclose(hermitian_solve(a, b), inverse @ b, rtol=1e-9)
+        # a vector right-hand side, as ZF and MMSE pass it
+        np.testing.assert_allclose(hermitian_solve(a, b[:, 0]), inverse @ b[:, 0], rtol=1e-9)
 
     def test_indefinite_matrix_falls_back_to_gauss_jordan(self):
         # Hermitian and invertible but not positive definite: Cholesky
         # fails, and the result is the Gauss-Jordan inverse times b.
         a = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         b = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], dtype=complex)
-        solved, reference = FlopCounter(), FlopCounter()
-        got = hermitian_solve(a, b, solved)
-        np.testing.assert_array_equal(got, mat_mul(gauss_invert(a, reference), b, reference))
-        assert solved == reference
+        np.testing.assert_array_equal(hermitian_solve(a, b), gauss_invert(a) @ b)
+        np.testing.assert_array_equal(hermitian_solve(a, b[:, 1]), gauss_invert(a) @ b[:, 1])
 
     def test_singular_exactly_when_gauss_invert_is(self):
         """Gram and MMSE-regularised Gram matrices over nt in 1..8 and
@@ -242,21 +234,26 @@ class TestHermitianSolve:
                             snr = SnrSpec(snr_db)
                             g[np.diag_indices(nt)] += snr.n0 / snr.es
                         _, expected = _outcome(lambda: gauss_invert(g))
-                        _, got = _outcome(lambda: hermitian_solve(g, h.conj().T))
-                        case = f"nt={nt} nr={nr} seed={seed} snr_db={snr_db}"
-                        assert (got is None) == (expected is None), case
-                        if expected is not None:
-                            raised += 1
-                            assert got.column == expected.column, case
-                            assert str(got) == str(expected), case
+                        # the filter's right-hand sides H^H, and the matched-filter
+                        # output z = H^H y (here y = H 1) that ZF and MMSE solve for
+                        for b in (h.conj().T, h.conj().T @ h.sum(axis=1)):
+                            _, got = _outcome(lambda: hermitian_solve(g, b))
+                            case = f"nt={nt} nr={nr} seed={seed} snr_db={snr_db} b={b.shape}"
+                            assert (got is None) == (expected is None), case
+                            if expected is not None:
+                                raised += 1
+                                assert got.column == expected.column, case
+                                assert str(got) == str(expected), case
         # every unregularised Gram with nr = nt - 1 is rank deficient
-        assert raised >= 7 * 8
+        assert raised >= 2 * 7 * 8
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             hermitian_solve(np.ones((2, 3)), np.ones((2, 1)))
         with pytest.raises(DimensionMismatchError):
             hermitian_solve(np.eye(3), np.ones((2, 1)))
+        with pytest.raises(DimensionMismatchError):
+            hermitian_solve(np.eye(3), np.ones(2))
 
 
 class TestRealPartScaled:

@@ -12,7 +12,7 @@ import pytest
 from mimo_slas import montecarlo
 from mimo_slas.channel import SnrSpec, assemble, sample_bpsk, sample_channel
 from mimo_slas.detectors import DetectorKind, detect, mf, slice_bpsk
-from mimo_slas.linalg import hermitian_transpose, mat_mul
+from mimo_slas.linalg import SingularMatrixError, hermitian_transpose, mat_mul
 from mimo_slas.montecarlo import (
     MAX_GRID_POINTS,
     BerPoint,
@@ -186,6 +186,72 @@ class TestBlockDraw:
             g = one.y_eff - one.h_real @ b0[k]
             assert trace.final_gradient.tobytes() == g.tobytes()
             assert trace.initial_likelihood == 0.5 * float(b0[k] @ one.y_eff + b0[k] @ g)
+
+    @pytest.mark.parametrize("kind", [DetectorKind.ZF, DetectorKind.MMSE])
+    @pytest.mark.parametrize("nt", [32, 128])
+    def test_shared_gram_and_matched_filter_equal_per_trial_calls(self, kind, nt, monkeypatch):
+        # ZF and MMSE detection and the workspace read one Gram matrix and one
+        # H^H y per trial, formed as stacks: the same bytes as per-trial calls
+        p = _point(nt=nt, nr=nt, snr_db=-10.0 if kind is DetectorKind.MMSE else 10.0,
+                   detector=kind, n_f=nt)
+        stop = 20 if nt == 32 else 2  # two sub-blocks of 16 and 4, or two of one
+        searched = []
+        real_run = montecarlo.run
+
+        def spy(ws, bits, *args, **kwargs):
+            searched.append((ws, bits))
+            return real_run(ws, bits, *args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "run", spy)
+        montecarlo._block((p,), 0, stop)
+        [(ws, bits)] = searched
+        snr = SnrSpec(p.snr_db)
+        inputs = [arrays for _, *arrays in
+                  montecarlo._draws(p.master_seed, nt, nt, p.snr_db, 0, stop)]
+        h = np.concatenate([arrays[0] for arrays in inputs])
+        y = np.concatenate([arrays[3] for arrays in inputs])
+        assert len(inputs) == 2 and len(h) == len(bits) == stop
+        for k in range(stop):
+            one = precompute(h[k], y[k])
+            for got, want in [(ws.y_eff[k], one.y_eff), (ws.h_real[k], one.h_real),
+                              (ws.zeta_base[k], one.zeta_base)]:
+                assert got.tobytes() == want.tobytes(), k
+            assert bits[k].tobytes() == slice_bpsk(detect(kind, h[k], y[k], snr)).tobytes(), k
+
+    def test_singular_trial_among_regular_ones(self, monkeypatch):
+        # one trial of a 2x2 ZF sub-block loses a channel column: it alone is
+        # aborted, in every cell, and the others keep their per-trial outcome
+        bad = 5
+        real_draws = montecarlo._draws
+
+        def draws(*args):
+            for first, h, b_true, noise, y in real_draws(*args):
+                if first <= bad < first + len(h):
+                    h = h.copy()
+                    h[bad - first, :, 0] = 0.0
+                yield first, h, b_true, noise, y
+
+        monkeypatch.setattr(montecarlo, "_draws", draws)
+        cells = tuple(_point(nt=2, nr=2, detector=DetectorKind.ZF, rho=rho, snr_db=4.0)
+                      for rho in (0.8, 1.0))
+        p = cells[0]
+        outcomes = montecarlo._block(cells, 0, 12)
+        [(_, h, b_true, _, y)] = list(draws(p.master_seed, 2, 2, p.snr_db, 0, 12))
+        snr = SnrSpec(p.snr_db)
+        with pytest.raises(SingularMatrixError):
+            detect(DetectorKind.ZF, h[bad], y[bad], snr)
+        for cell in cells:
+            assert isinstance(outcomes[cell, bad], SingularMatrixError)
+            for k in set(range(12)) - {bad}:
+                b0 = slice_bpsk(detect(DetectorKind.ZF, h[k], y[k], snr))
+                final, _ = run(precompute(h[k], y[k]), b0, cell.rho, cell.n_f)
+                expected = int(np.count_nonzero(final != b_true[k]))
+                assert outcomes[cell, k][0] == expected, (cell.rho, k)
+        cfg = ExperimentConfig(nt=2, nr=2, snr_db=4.0, detector="zf", rho=[0.8, 1.0],
+                               n_f=12, max_trials=12, min_bit_errors=10**9)
+        for result in run_sweep(cfg):
+            assert result.aborted_trials == 1
+            assert result.trials_run == 12
 
 
 class TestTrial:

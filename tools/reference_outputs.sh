@@ -42,6 +42,11 @@ cli trace-32-mmse trace --nt 32 --nr 32 --snr-list 10 --rho-list 0.9,1.0 \
 cli flops flops --n-list 1,2,4,8,16,32,64,128 --steps-list 4,128 --seed 0
 cli ber-snr-zf-singular ber-snr --nt 4 --nr 2 --detector zf --snr-list 0,10 \
     --las both --trials 200 --seed 0
+# ZF and MMSE with the search on, at a size where a draw sub-block holds 16
+# trials: the Gram matrices and matched-filter outputs are shared by detection
+# and the search workspace
+cli ber-snr-32-linear ber-snr --nt 32 --nr 32 --detector all --las both \
+    --snr-list 0,10 --trials 400 --min-errors 1000000 --seed 4
 cli ber-antennas ber-antennas --n-list 1,2,4,8 --detector all --las both \
     --snr 10 --trials 500 --seed 1
 for jobs in 1 2; do
