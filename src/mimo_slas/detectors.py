@@ -3,11 +3,13 @@
 All three are functions of the Gram matrix ``G = H^H H`` and the
 matched-filter output ``z = H^H y``: MF returns ``z``, ZF solves ``G x = z``
 and MMSE solves ``(G + (n0/es) I) x = z`` (:func:`equalize`, one solve by
-:func:`~mimo_slas.linalg.hermitian_solve`).  :func:`mf`, :func:`zf` and
-:func:`mmse` take the channel and the observation, charge their instrumented
-real-flop cost to the caller's :class:`~mimo_slas.linalg.FlopCounter`, when
-one is passed, and return the complex soft values as an array;
-:func:`slice_bpsk` turns them into the +-1 array the search starts from.
+:func:`~mimo_slas.linalg.hermitian_solve`, which adds the regularization
+``n0/es`` and skips its Cholesky check where that shift proves the check
+passes).  :func:`mf`, :func:`zf` and :func:`mmse` take the channel and the
+observation, charge their instrumented real-flop cost to the caller's
+:class:`~mimo_slas.linalg.FlopCounter`, when one is passed, and return the
+complex soft values as an array; :func:`slice_bpsk` turns them into the +-1
+array the search starts from.
 
 ZF and MMSE never form the filter matrix ``W = G^-1 H^H``, but they are
 charged as if they did: the Gram product, then, once the solve has
@@ -21,7 +23,8 @@ A detector that raises :class:`~mimo_slas.linalg.SingularMatrixError` has
 charged the Gram product (and MMSE its regularization) but nothing after it;
 ``cli._measured_detection_flops``, which catches the error, discards its
 counter.  ``montecarlo._block`` forms each trial's ``G`` and ``z`` once, for
-detection and for the search workspace, and calls :func:`equalize`.
+detection and for the search workspace, and calls :func:`equalize` with the
+row count ``nr`` that the skip's rounding bound needs.
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ def _filtered(kind, h, y, snr, counter):
     """:func:`equalize` from the channel and the observation, charged as
     forming the explicit filter and applying it (see the module docstring)."""
     hh = hermitian_transpose(h)
-    soft = equalize(kind, mat_mul(hh, h, counter), mat_vec(hh, y), snr)
+    soft = equalize(kind, mat_mul(hh, h, counter), mat_vec(hh, y), snr, h.shape[0])
     if counter is not None:
         nt, nr = hh.shape
         form_adds, form_mults = mat_mul_flops(nt, nr, nt)
@@ -114,7 +117,8 @@ def detect(
 
 
 def equalize(
-    kind: DetectorKind, gram: np.ndarray, z: np.ndarray, snr: SnrSpec | None
+    kind: DetectorKind, gram: np.ndarray, z: np.ndarray, snr: SnrSpec | None,
+    rows: int | None = None,
 ) -> np.ndarray:
     """The soft values of detector ``kind`` from the Gram matrix ``G = H^H H``
     and the matched-filter output ``z = H^H y`` (``snr`` is read by MMSE only).
@@ -123,16 +127,18 @@ def equalize(
     MMSE ``(G + (n0/es) I)^-1 z``, each by one
     :func:`~mimo_slas.linalg.hermitian_solve` of a single trial, which raises
     :class:`~mimo_slas.linalg.SingularMatrixError` for a numerically singular
-    matrix.  Charges nothing: :func:`zf` and :func:`mmse` price the filter.
+    matrix.  ``rows``, the row count ``nr`` of ``H`` when ``gram`` is the
+    computed product ``H^H H``, lets MMSE skip the Cholesky check where its
+    regularization proves that the check passes; it changes no result.
+    Charges nothing: :func:`zf` and :func:`mmse` price the filter.
     """
     if kind == DetectorKind.MF:
         return z
     if kind == DetectorKind.MMSE:
-        gram = gram.copy()
-        gram[np.diag_indices(gram.shape[-1])] += snr.n0 / snr.es
-    elif kind != DetectorKind.ZF:
-        raise ValueError(f"unknown detector: {kind!r}")
-    return hermitian_solve(gram, z)
+        return hermitian_solve(gram, z, snr.n0 / snr.es, rows)
+    if kind == DetectorKind.ZF:
+        return hermitian_solve(gram, z)
+    raise ValueError(f"unknown detector: {kind!r}")
 
 
 def slice_bpsk(soft: np.ndarray) -> np.ndarray:

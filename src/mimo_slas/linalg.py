@@ -18,9 +18,11 @@ flops and ``2*m*n*(p-1)`` addition flops.  Matrix inversion is charged the
 textbook lump cost ``ceil(2/3 * n^3)`` so that instrumented totals line up
 with the closed-form detector cost models in :mod:`mimo_slas.complexity`.
 
-The ZF and MMSE soft values ``G^-1 z`` are computed by :func:`hermitian_solve`
-through numpy's LAPACK (a Cholesky check, then a solve for the one vector
-``z``), with no filter matrix formed.  It charges nothing: the detectors
+The ZF and MMSE soft values ``(G + shift I)^-1 z`` are computed by
+:func:`hermitian_solve` through numpy's LAPACK (a Cholesky check, then a
+solve for the one vector ``z``), with no filter matrix formed.  It forms the
+MMSE regularization ``G + shift I`` itself, and skips the check when the
+shift provably passes it.  It charges nothing: the detectors
 price the explicit filter of the paper's cost model (see
 :mod:`mimo_slas.detectors`).  :func:`gauss_invert`, Gauss-Jordan elimination
 with partial pivoting, is the reference the tests compare against and the
@@ -209,19 +211,73 @@ def gauss_invert(a: np.ndarray, counter: FlopCounter | None = None) -> np.ndarra
 # ``_PIVOT_TOL`` is left to ``gauss_invert`` to decide.
 _CHOLESKY_MARGIN = 1e4
 
+# The multiple of the rounding bound of ``_check_is_proven`` by which a shift
+# must clear the Cholesky floor before the check is skipped: it covers the
+# constants of the complex-arithmetic bounds, which are taken loosely.
+_ROUNDING_SAFETY = 10.0
 
-def hermitian_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a^-1 b`` for a Hermitian positive-definite ``a`` (a Gram matrix) and a
-    vector or matrix ``b``; uncharged.
 
-    A Cholesky factorization checks that ``a`` is positive definite with
-    every squared pivot ``|L_kk|^2`` at least ``_CHOLESKY_MARGIN *
+def _check_is_proven(a: np.ndarray, shift: float, rows: int | None) -> bool:
+    """Whether the Cholesky check of ``a + shift I`` is certain to pass, when
+    ``a`` is the computed Gram matrix ``fl(H^H H)`` of an ``rows x n`` matrix
+    ``H`` (and is not yet shifted).  The Gram product's rounding grows with
+    its inner dimension ``rows``, which ``a`` itself does not reveal.
+
+    Write ``u = 2^-53``, ``gamma_k = k u / (1 - k u)``, ``m = rows``,
+    ``s = shift`` and ``tau = Re trace(a)``.  The exact ``H^H H + s I`` has no
+    eigenvalue below ``s``.  Each step below moves the matrix whose
+    Cholesky factor the check computes by at most the stated 2-norm
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002):
+
+    * the Gram product, §3.5 with the complex inner products of §3.6:
+      ``|a - H^H H| <= sqrt2 gamma_{m+2} |H|^T |H|``, whose 2-norm is at most
+      ``sqrt2 gamma_{m+2} ||H||_F^2``, and ``||H||_F^2 <= tau / (1 - sqrt2
+      gamma_{m+2})`` because the diagonal sums non-negative terms;
+    * adding ``s`` to the diagonal: ``u (tau + s)``;
+    * the factorization, Thm 10.3 for complex data: the computed ``R`` has
+      ``R^H R = A + dA`` with ``|dA| <= sqrt2 gamma_{n+2} |R^H| |R|``, so
+      ``||dA||_2 <= sqrt2 gamma_{n+2} trace(R^H R) <= sqrt2 gamma_{n+2}
+      (1 + u) (tau + n s) / (1 - sqrt2 gamma_{n+2})``.  (LAPACK reads the
+      lower triangle and the real part of the diagonal, and the Gram error
+      bound holds for that Hermitian matrix too.)
+
+    The sum is at most ``rho = 2 gamma_{m+n+4} (tau + n s)``.  Every squared
+    pivot ``|R_kk|^2`` is a pivot of the exact Cholesky factorization of
+    ``R^H R``, so it is at least that matrix's smallest eigenvalue, which is
+    at least ``s - rho``; with that positive the factorization also runs to completion (a
+    failing step would be a non-positive pivot of the same perturbed
+    matrix).  When ``s >= _CHOLESKY_MARGIN * _PIVOT_TOL + _ROUNDING_SAFETY *
+    rho`` every squared pivot, also as computed by the check (3 more
+    roundings), is at least ``_CHOLESKY_MARGIN * _PIVOT_TOL``: the check
+    passes.  A matrix or shift that is not finite, an unknown ``rows`` or a
+    smaller shift (ZF's is 0) proves nothing, and the check runs.
+    """
+    if rows is None or not 0 < shift < math.inf or not np.isfinite(a.sum()):
+        return False
+    n = a.shape[0]
+    ku = (rows + n + 4) * float(np.finfo(np.float64).eps) / 2
+    rho = 2 * ku / (1 - ku) * (float(np.trace(a).real) + n * shift)
+    return shift >= _CHOLESKY_MARGIN * _PIVOT_TOL + _ROUNDING_SAFETY * rho
+
+
+def hermitian_solve(
+    a: np.ndarray, b: np.ndarray, shift: float = 0.0, rows: int | None = None
+) -> np.ndarray:
+    """``(a + shift I)^-1 b`` for a Hermitian positive semi-definite ``a`` (a
+    Gram matrix ``H^H H``), a shift ``>= 0`` and a vector or matrix ``b``;
+    uncharged.  ``rows`` is the number of rows of ``H`` when ``a`` is the
+    computed product ``H^H H`` itself, and ``None`` otherwise.
+
+    A Cholesky factorization checks that ``a + shift I`` is positive definite
+    with every squared pivot ``|L_kk|^2`` at least ``_CHOLESKY_MARGIN *
     _PIVOT_TOL``; ``np.linalg.solve`` then forms the result.  A matrix that
     fails the check goes to :func:`gauss_invert`, which raises
     :class:`SingularMatrixError` naming the pivot column, or returns the
     inverse that is then multiplied by ``b``.  Near the tolerance it is
     therefore ``gauss_invert`` that decides, and reports, singularity, and
-    the verdict does not depend on ``b``.
+    the verdict does not depend on ``b``.  The check is skipped when the
+    shift alone proves that it passes (see :func:`_check_is_proven`): the
+    result is then the same ``np.linalg.solve`` of the same matrix.
     """
     a = _as_matrix(a, "a")
     b = np.asarray(b, dtype=np.complex128)
@@ -232,12 +288,17 @@ def hermitian_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"cannot solve a {n}x{n} system for right-hand sides of shape {b.shape}"
         )
-    try:
-        pivots = np.abs(np.diagonal(np.linalg.cholesky(a))) ** 2
-    except np.linalg.LinAlgError:
-        pivots = None
-    if pivots is None or np.any(pivots < _CHOLESKY_MARGIN * _PIVOT_TOL):
-        return gauss_invert(a) @ b
+    proven = _check_is_proven(a, shift, rows)
+    if shift:
+        a = a.copy()
+        a[np.diag_indices(n)] += shift
+    if not proven:
+        try:
+            pivots = np.abs(np.diagonal(np.linalg.cholesky(a))) ** 2
+        except np.linalg.LinAlgError:
+            pivots = None
+        if pivots is None or np.any(pivots < _CHOLESKY_MARGIN * _PIVOT_TOL):
+            return gauss_invert(a) @ b
     return np.linalg.solve(a, b)
 
 

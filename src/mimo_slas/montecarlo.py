@@ -534,7 +534,7 @@ def _block(cells: tuple[PointSpec, ...], start: int, stop: int) -> dict:
             kept, decisions = [], []
             for k in range(len(h)):
                 try:
-                    decisions.append(slice_bpsk(equalize(p.detector, gram[k], z[k], snr)))
+                    decisions.append(slice_bpsk(equalize(p.detector, gram[k], z[k], snr, p.nr)))
                     kept.append(k)
                 except SingularMatrixError as exc:
                     outcomes.update(((c, first + k), exc) for c in cells)

@@ -17,3 +17,14 @@ def package_env():
     root = str(Path(mimo_slas.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
     return env
+
+
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    """A list that grows by one at each ``np.linalg.cholesky`` call."""
+    import numpy as np
+
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or cholesky(a))
+    return calls

@@ -592,3 +592,22 @@ def test_console_script_is_byte_deterministic_across_jobs(package_env):
         runs[jobs] = proc.stdout
     assert runs["1"] == runs["4"]
     assert runs["1"].startswith(b"# schema_version=1\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["ber-rho", "--n-list", "8", "--snr-list", "10", "--rho-list", "0.9,1", "--steps", "8",
+     "--trials", "1100", "--min-errors", "1000000000", "--seed", "2"],
+    ["trace", "--nt", "4", "--nr", "4", "--snr-list", "10", "--rho-list", "1", "--steps", "8",
+     "--trials", "1100", "--seed", "2"],
+], ids=["ber-rho", "trace"])
+def test_pooled_commands_exit_cleanly(argv, tmp_path, package_env):
+    # three chunks over two workers; the pool must shut down without a word on
+    # stderr (the interpreter's exit hook once raced the pool's wakeup pipe)
+    pooled, alone = tmp_path / "pooled.csv", tmp_path / "alone.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mimo_slas.cli", *argv, "--jobs", "2", "--out", str(pooled)],
+        capture_output=True, env=package_env, timeout=300,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert main([*argv, "--out", str(alone)]) == 0
+    assert pooled.read_bytes() == alone.read_bytes()

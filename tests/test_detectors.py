@@ -25,7 +25,7 @@ from mimo_slas.linalg import (
     mat_mul,
     mat_vec,
 )
-from mimo_slas.montecarlo import draw
+from mimo_slas.montecarlo import PointSpec, draw, run_point
 
 
 def _instance(nt, nr, seed):
@@ -95,6 +95,63 @@ def test_zf_and_mmse_match_numpy_solve_on_ill_conditioned_square_channels(n, con
     est = mmse(h, y, snr)
     ref = np.linalg.solve(hh @ h + (snr.n0 / snr.es) * np.eye(n), hh @ y)
     np.testing.assert_allclose(est, ref, rtol=0, atol=tol * np.max(np.abs(ref)))
+
+
+def _outcome(fn):
+    """(result, None) or (None, SingularMatrixError) of one call."""
+    try:
+        return fn(), None
+    except SingularMatrixError as exc:
+        return None, exc
+
+
+def test_mmse_is_singular_exactly_when_gauss_invert_is():
+    """MMSE over nt in 1..8 and nr in {nt-1, nt, nt+1}, through ``equalize``
+    and ``mmse``, which pass the regularization to ``hermitian_solve``: the
+    same trials raise as for ``gauss_invert`` of the regularized Gram
+    matrix, with the same column and message.  At 10 to 60 dB the shift
+    proves the Cholesky check, which is skipped; at 120 and 140 dB it puts
+    the rank-deficient matrices near the pivot tolerance 1e-12."""
+    raised = 0
+    for nt in range(1, 9):
+        for nr in (nt - 1, nt, nt + 1):
+            if nr < 1:
+                continue
+            for seed in range(8):
+                h, _, y = _instance(nt, nr, (nt, nr, seed))
+                hh = h.conj().T
+                gram, z = hh @ h, hh @ y
+                for snr_db in (10.0, 40.0, 60.0, 120.0, 140.0):
+                    snr = SnrSpec(snr_db)
+                    g = gram.copy()
+                    g[np.diag_indices(nt)] += snr.n0 / snr.es
+                    _, expected = _outcome(lambda: gauss_invert(g))
+                    for got_from in (lambda: equalize(DetectorKind.MMSE, gram, z, snr, nr),
+                                     lambda: mmse(h, y, snr)):
+                        _, got = _outcome(got_from)
+                        case = f"nt={nt} nr={nr} seed={seed} snr_db={snr_db}"
+                        assert (got is None) == (expected is None), case
+                        if expected is not None:
+                            raised += 1
+                            assert got.column == expected.column, case
+                            assert str(got) == str(expected), case
+    # 55 of the 56 rank-deficient (nr = nt - 1) matrices at 140 dB, each
+    # through both calls
+    assert raised == 2 * 55
+
+
+def test_mmse_skips_the_check_its_regularization_proves(cholesky_calls):
+    h, _, y = _instance(32, 32, 44)
+    mmse(h, y, SnrSpec(-10.0))
+    assert not cholesky_calls
+    zf(h, y)
+    assert len(cholesky_calls) == 1
+    cholesky_calls.clear()
+    point = PointSpec(nt=32, nr=32, snr_db=-10.0, detector=DetectorKind.MMSE,
+                      las_enabled=True, rho=1.0, n_f=8, max_trials=4, min_bit_errors=1,
+                      master_seed=3)
+    run_point(point)
+    assert not cholesky_calls
 
 
 def test_mmse_with_zero_noise_equals_zf():

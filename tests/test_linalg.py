@@ -7,6 +7,8 @@ import pytest
 
 from mimo_slas.channel import SnrSpec, sample_channel
 from mimo_slas.linalg import (
+    _CHOLESKY_MARGIN,
+    _PIVOT_TOL,
     DimensionMismatchError,
     FlopCounter,
     SingularMatrixError,
@@ -246,6 +248,64 @@ class TestHermitianSolve:
                                 assert str(got) == str(expected), case
         # every unregularised Gram with nr = nt - 1 is rank deficient
         assert raised >= 2 * 7 * 8
+
+    def test_skipped_check_would_have_passed(self, cholesky_calls):
+        """Gram matrices of nr x nt channels, nt over 1..128 and nr in
+        {nt-1, nt, nt+1}, scaled by 1e-6, 1 and 1e3, with shifts on a log
+        grid from below to above the rounding bound: wherever the Cholesky
+        check is skipped, it passes on the same matrix, and the result is the
+        checked path's bit for bit.
+
+        Random channels round far below the worst case that the bound
+        covers, so a check that passes does not show the bound is safe.  The
+        test also requires that no shift within ``(nt + nr) eps trace(G)``
+        of the floor, the order of the Gram product's worst-case rounding,
+        is ever trusted."""
+        floor = _CHOLESKY_MARGIN * _PIVOT_TOL
+        eps = np.finfo(float).eps
+        for nt in (1, 2, 3, 4, 5, 7, 8, 12, 16, 23, 32, 47, 64, 91, 127, 128):
+            for nr in (nt - 1, nt, nt + 1):
+                if nr < 1:
+                    continue
+                rng = np.random.default_rng((nt, nr))
+                for scale in (1e-6, 1.0, 1e3):
+                    h = scale * sample_channel(nt, nr, rng)
+                    gram = mat_mul(hermitian_transpose(h), h)
+                    z = mat_vec(hermitian_transpose(h), h.sum(axis=1))
+                    rounding = (nt + nr) * eps * np.trace(gram).real
+                    for k in np.arange(-8.0, 2.5, 0.5):
+                        shift = floor + (floor + rounding) * 10**k
+                        case = f"nt={nt} nr={nr} scale={scale} k={k}"
+                        cholesky_calls.clear()
+                        got = hermitian_solve(gram, z, shift, nr)
+                        skip = not cholesky_calls
+                        if not skip:
+                            continue
+                        assert shift - floor >= rounding, case
+                        a = gram.copy()
+                        a[np.diag_indices(nt)] += shift
+                        pivots = np.abs(np.diagonal(np.linalg.cholesky(a))) ** 2
+                        assert np.all(pivots >= floor), case
+                        assert got.tobytes() == hermitian_solve(a, z).tobytes(), case
+                    # the top of the grid is past the bound for every matrix
+                    assert skip, case
+
+    def test_check_runs_unless_a_finite_shift_and_the_row_count_prove_it(self, cholesky_calls):
+        h = sample_channel(4, 6, np.random.default_rng(3))
+        gram = h.conj().T @ h
+        z = h.conj().T @ h.sum(axis=1)
+        for shift, rows in ((10.0, None), (0.0, 6), (1e-9, 6), (-10.0, 6), (np.inf, 6)):
+            cholesky_calls.clear()
+            hermitian_solve(gram, z, shift, rows)
+            assert cholesky_calls, (shift, rows)
+        bad = gram.copy()
+        bad[0, 1] = np.nan
+        cholesky_calls.clear()
+        hermitian_solve(bad, z, 10.0, 6)
+        assert cholesky_calls
+        cholesky_calls.clear()
+        hermitian_solve(gram, z, 10.0, 6)
+        assert not cholesky_calls
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):

@@ -42,6 +42,12 @@ cli trace-32-mmse trace --nt 32 --nr 32 --snr-list 10 --rho-list 0.9,1.0 \
 cli flops flops --n-list 1,2,4,8,16,32,64,128 --steps-list 4,128 --seed 0
 cli ber-snr-zf-singular ber-snr --nt 4 --nr 2 --detector zf --snr-list 0,10 \
     --las both --trials 200 --seed 0
+# MMSE on the same rank-deficient 4x2 channels.  At 60 dB the regularization
+# n0/es proves that the Cholesky check passes, and it is skipped; at 120 dB
+# the check runs and fails, and Gauss-Jordan accepts every trial the cell
+# reaches before its error floor; at 140 dB Gauss-Jordan aborts every trial
+cli ber-snr-mmse-shift ber-snr --nt 4 --nr 2 --detector mmse \
+    --snr-list 60,120,140 --las both --trials 200 --seed 0
 # ZF and MMSE with the search on, at a size where a draw sub-block holds 16
 # trials: the Gram matrices and matched-filter outputs are shared by detection
 # and the search workspace
