@@ -43,10 +43,6 @@ class SnrSpec:
     def n0(self) -> float:
         return self.es * 10.0 ** (-self.snr_db / 10.0)
 
-    @classmethod
-    def noiseless(cls, es: float = 1.0) -> "SnrSpec":
-        return cls(snr_db=math.inf, es=es)
-
 
 @dataclass(frozen=True)
 class ChannelInstance:

@@ -300,7 +300,7 @@ def _write_rows(args, columns, rows) -> None:
 
 
 def _measured_detection_flops(point: PointSpec) -> int | None:
-    """Instrumented cost of one representative detection (trial index 0).
+    """Instrumented cost of trial 0: its detection, precompute and search.
 
     ``None`` when trial 0's channel is numerically singular for the detector;
     the sweep counted such trials as aborted and flagged the cell.

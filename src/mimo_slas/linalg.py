@@ -82,10 +82,8 @@ class SingularMatrixError(ValueError):
 
 @dataclass
 class FlopCounter:
-    """Accumulator for real additions and multiplications.
-
-    Counts are monotonically non-decreasing; ``reset`` starts a new scope.
-    """
+    """Accumulator for real additions and multiplications; counts are
+    monotonically non-decreasing."""
 
     real_additions: int = 0
     real_multiplications: int = 0
@@ -102,10 +100,6 @@ class FlopCounter:
             )
         self.real_additions += additions
         self.real_multiplications += multiplications
-
-    def reset(self) -> None:
-        self.real_additions = 0
-        self.real_multiplications = 0
 
 
 def _as_matrix(a: np.ndarray, name: str, stacked: bool = False) -> np.ndarray:

@@ -38,10 +38,10 @@ budget, ``_BLOCK_BYTES`` (1 MiB: about 60 trials of nine cells at 32x32,
 seven trials at 128x128); a block never crosses a chunk, and no output
 depends on either size.  :func:`trial` stays the unit of work: every counted
 (cell, trial) pair is one call, and the block is computed by the first call
-that needs it.  Both the sweep and :func:`run_trace` keep at most ``n_jobs``
-chunks in flight and consume them in chunk order; a trace sums each chunk
-into running totals as it arrives, so it holds at most ``n_jobs`` chunks of
-rows whatever its trial count.
+that needs it.  Sweeps and traces run their chunks through one loop,
+:func:`_in_order`, which starts a process pool only when ``n_jobs > 1`` and
+there is more than one chunk.  A sweep feeds it every group's chunks in
+turn; a trace sums each chunk into running totals as it arrives.
 """
 
 from __future__ import annotations
@@ -51,8 +51,9 @@ import math
 import numbers
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, fields, replace
+from itertools import chain, islice
 
 import numpy as np
 
@@ -638,47 +639,71 @@ def _finish(point: PointSpec, state: dict) -> BerPoint:
                     flagged=errors < point.min_bit_errors or aborted > 0)
 
 
+def _in_order(run, chunks, n_jobs: int):
+    """Yield ``(args, run(*args))`` for each ``args`` of ``chunks``, in order.
+
+    At most ``n_jobs`` chunks are in flight, and the next is read only when a
+    slot is free.  A pool starts only when ``n_jobs > 1`` and there is more
+    than one chunk; otherwise each chunk runs in process as it is read.  On
+    exit queued chunks are cancelled, and the pool is waited for only when no
+    chunk still runs: that closes it before the interpreter's exit hook
+    writes to its wakeup pipe ("Bad file descriptor"), while a running chunk
+    is left to the hook, which joins it as the caller writes its output.
+    """
+    chunks = iter(chunks)
+    first = list(islice(chunks, n_jobs))
+    chunks = chain(first, chunks)
+    if len(first) < 2:
+        for args in chunks:
+            yield args, run(*args)
+        return
+    executor = ProcessPoolExecutor(max_workers=n_jobs)
+    pending: deque = deque()  # (args, future), in chunk order
+    try:
+        while True:
+            for args in islice(chunks, n_jobs - len(pending)):
+                pending.append((args, executor.submit(run, *args)))
+            if not pending:
+                break
+            args, future = pending.popleft()
+            yield args, future.result()
+    finally:
+        executor.shutdown(wait=not any(f.running() for _, f in pending), cancel_futures=True)
+
+
 def _run_cells(points: list[PointSpec], n_jobs: int) -> list[BerPoint]:
-    """Run cells to their stopping conditions; results in the given order.
+    """Run distinct cells to their stopping conditions; results in the given order.
 
     Cells that differ only in rho form a group and share fixed-size chunks of
     trial indices.  Each chunk lists the group's cells still active when it
-    was submitted; up to ``n_jobs`` chunks are in flight on the pool (one,
-    computed at once, without it).  Every cell scans its own row in index
-    order and leaves the group when its stop fires, so it stops on the same
-    trial at any worker count and in any group.
+    is read.  Every cell scans its own row in index order and leaves the
+    group when its stop fires, so it stops on the same trial at any worker
+    count and in any group.  No result is read after every cell has stopped.
     """
-    groups: dict[PointSpec, list[int]] = {}
-    for index, point in enumerate(points):
-        groups.setdefault(replace(point, rho=0.0), []).append(index)
-    states = [{"errors": 0, "aborted": 0, "trials": 0, "floor": p.min_bit_errors}
-              for p in points]
-    executor = ProcessPoolExecutor(max_workers=n_jobs) if n_jobs > 1 else None
-    try:
-        for active in groups.values():
-            max_trials = points[active[0]].max_trials
-            starts = iter(range(0, max_trials, _CHUNK))
-            pending: deque = deque()  # (cells, counts or future), in chunk order
-            while True:
-                while (active and len(pending) < max(n_jobs, 1)
-                       and (start := next(starts, None)) is not None):
-                    cells = tuple(active)
-                    args = ([points[c] for c in cells], start, min(start + _CHUNK, max_trials))
-                    pending.append((cells, _ber_chunk(*args) if executor is None
-                                    else executor.submit(_ber_chunk, *args)))
-                if not active or not pending:
+    groups: dict[PointSpec, list[PointSpec]] = {}
+    for point in points:
+        groups.setdefault(replace(point, rho=0.0), []).append(point)
+    states = {p: {"errors": 0, "aborted": 0, "trials": 0, "floor": p.min_bit_errors}
+              for p in points}
+    stopped: set[PointSpec] = set()
+
+    def chunks():
+        for group in groups.values():
+            max_trials = group[0].max_trials
+            for start in range(0, max_trials, _CHUNK):
+                active = [p for p in group if p not in stopped]
+                if not active:
                     break
-                cells, counts = pending.popleft()
-                counts = counts if executor is None else counts.result()
-                for row, c in zip(counts, cells):
-                    if c in active and _scan(row, states[c]):
-                        active.remove(c)
-            for _, future in pending:
-                future.cancel()
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
-    return [_finish(p, state) for p, state in zip(points, states)]
+                yield active, start, min(start + _CHUNK, max_trials)
+
+    with closing(_in_order(_ber_chunk, chunks(), n_jobs)) as results:
+        for (cells, _, _), counts in results:
+            for row, p in zip(counts, cells):
+                if p not in stopped and _scan(row, states[p]):
+                    stopped.add(p)
+            if len(stopped) == len(points):
+                break
+    return [_finish(p, states[p]) for p in points]
 
 
 def run_point(point: PointSpec, n_jobs: int = 1) -> BerPoint:
@@ -731,33 +756,14 @@ def run_trace(point: PointSpec, trials: int, n_jobs: int = 1) -> TraceAggregate:
         raise ValueError("trace experiments require the search to be enabled")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    starts = iter(range(0, trials, _CHUNK))
-    executor = (ProcessPoolExecutor(max_workers=n_jobs)
-                if n_jobs > 1 and trials > _CHUNK else None)
-    pending: deque = deque()  # (lams, err_sum) or futures of them, in chunk order
+    chunks = ((point, start, min(start + _CHUNK, trials)) for start in range(0, trials, _CHUNK))
     held: list = []  # likelihood rows not yet summed, in trial order
     err_sum = 0
-    try:
-        while True:
-            while (len(pending) < (1 if executor is None else n_jobs)
-                   and (start := next(starts, None)) is not None):
-                args = (point, start, min(start + _CHUNK, trials))
-                pending.append(_trace_chunk(*args) if executor is None
-                               else executor.submit(_trace_chunk, *args))
-            if not pending:
-                break
-            part = pending.popleft()
-            lams, errs = part if executor is None else part.result()
-            held.append(lams)
-            if point.n_f:
-                held = [np.add.reduce(np.vstack(held), axis=0, keepdims=True)]
-            err_sum = err_sum + errs
-    finally:
-        if executor is not None:
-            # wait=False would let the pool's manager thread close its wakeup
-            # pipe while Python 3.11's exit hook writes to it ("Bad file
-            # descriptor" on stderr); this waits at most for the chunks in flight
-            executor.shutdown(cancel_futures=True)
+    for _, (lams, errs) in _in_order(_trace_chunk, chunks, n_jobs):
+        held.append(lams)
+        if point.n_f:
+            held = [np.add.reduce(np.vstack(held), axis=0, keepdims=True)]
+        err_sum = err_sum + errs
     return TraceAggregate(
         point=point,
         trials=trials,

@@ -25,7 +25,6 @@ MAX_BRUTEFORCE_NT = 20
 class MlResult:
     b_star: np.ndarray
     lambda_star: float
-    enumerated: int
 
 
 def _lex_smaller(a: np.ndarray, b: np.ndarray) -> bool:
@@ -63,9 +62,7 @@ def ml_bruteforce(ws: SlasWorkspace) -> MlResult:
         if lam > best_lam or (lam == best_lam and _lex_smaller(b, best_b)):
             best_lam = lam
             best_b = b.copy()
-    return MlResult(
-        b_star=best_b, lambda_star=likelihood(ws, best_b), enumerated=2**nt
-    )
+    return MlResult(b_star=best_b, lambda_star=likelihood(ws, best_b))
 
 
 def is_local_optimum(ws: SlasWorkspace, b: np.ndarray, tol: float = 1e-9) -> bool:

@@ -23,7 +23,6 @@ exits 1).  This keeps the suite itself testable.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,14 +137,12 @@ def run_selfcheck(
     seed: int = 0,
     instances: int = 1000,
     inject_fault: str | None = None,
-    stream=None,
 ) -> int:
     """Run the suite; returns 0 when every check passes on every instance."""
     if instances < 1:
         raise ValueError(f"instances must be >= 1, got {instances}")
     if inject_fault not in (None, "grad-sign"):
         raise ValueError(f"unknown fault: {inject_fault!r}")
-    stream = stream or sys.stdout
     results = {name: CheckCounts() for name in CHECK_NAMES}
     cases = [_instance(instance, seed) for instance in range(instances)]
     for instance, trace in enumerate(_traces(cases, inject_fault)):
@@ -153,15 +150,14 @@ def run_selfcheck(
 
     print(
         f"selfcheck: {instances} instances, master seed {seed}"
-        + (f", injected fault: {inject_fault}" if inject_fault else ""),
-        file=stream,
+        + (f", injected fault: {inject_fault}" if inject_fault else "")
     )
-    print(f"  {'check':<14} {'pass':>6} {'fail':>6}  first-failing-instance", file=stream)
+    print(f"  {'check':<14} {'pass':>6} {'fail':>6}  first-failing-instance")
     failures = 0
     for name in CHECK_NAMES:
         c = results[name]
         failures += c.failed
         where = "" if c.first_failure is None else str(c.first_failure)
-        print(f"  {name:<14} {c.passed:>6} {c.failed:>6}  {where}", file=stream)
-    print("selfcheck: " + ("PASS" if failures == 0 else "FAIL"), file=stream)
+        print(f"  {name:<14} {c.passed:>6} {c.failed:>6}  {where}")
+    print("selfcheck: " + ("PASS" if failures == 0 else "FAIL"))
     return 0 if failures == 0 else 1

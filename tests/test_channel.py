@@ -5,6 +5,8 @@ frozen seeds while still catching scale bugs (a factor of sqrt(2) in the
 variance shows up orders of magnitude beyond the thresholds here).
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,7 @@ def test_snr_spec_scales_with_symbol_energy():
 
 
 def test_noiseless_spec():
-    spec = SnrSpec.noiseless()
+    spec = SnrSpec(math.inf)
     assert spec.snr_db == np.inf
     assert spec.n0 == 0.0
 
@@ -72,7 +74,7 @@ def test_assemble_noiseless_is_exact_product():
     rng = np.random.default_rng(3)
     h = sample_channel(8, 12, rng)
     b = sample_bpsk(8, 1.0, rng)
-    inst = assemble(h, b, SnrSpec.noiseless(), rng)
+    inst = assemble(h, b, SnrSpec(math.inf), rng)
     np.testing.assert_allclose(inst.y, h @ b, rtol=1e-14)
     np.testing.assert_array_equal(inst.noise, np.zeros(12, dtype=complex))
     assert inst.n0 == 0.0

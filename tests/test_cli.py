@@ -599,10 +599,14 @@ def test_console_script_is_byte_deterministic_across_jobs(package_env):
      "--trials", "1100", "--min-errors", "1000000000", "--seed", "2"],
     ["trace", "--nt", "4", "--nr", "4", "--snr-list", "10", "--rho-list", "1", "--steps", "8",
      "--trials", "1100", "--seed", "2"],
-], ids=["ber-rho", "trace"])
+    ["ber-snr", "--nt", "8", "--nr", "8", "--detector", "all", "--las", "both", "--snr-list",
+     "0,5,10", "--rho", "0.9", "--steps", "24", "--trials", "3000", "--min-errors", "60"],
+], ids=["ber-rho", "trace", "ber-snr"])
 def test_pooled_commands_exit_cleanly(argv, tmp_path, package_env):
-    # three chunks over two workers; the pool must shut down without a word on
-    # stderr (the interpreter's exit hook once raced the pool's wakeup pipe)
+    # several chunks over two workers; the pool must shut down without a word
+    # on stderr (the interpreter's exit hook once raced the pool's wakeup
+    # pipe).  The 18 ber-snr cells, one group each, stop in chunks 0 to 5, so
+    # groups stop with their next chunk still in flight
     pooled, alone = tmp_path / "pooled.csv", tmp_path / "alone.csv"
     proc = subprocess.run(
         [sys.executable, "-m", "mimo_slas.cli", *argv, "--jobs", "2", "--out", str(pooled)],

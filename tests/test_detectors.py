@@ -1,6 +1,8 @@
 """Linear detector tests: values against hand-rolled references, and
 instrumented costs against the closed-form models."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -157,7 +159,7 @@ def test_mmse_skips_the_check_its_regularization_proves(cholesky_calls):
 def test_mmse_with_zero_noise_equals_zf():
     h, _, y = _instance(8, 8, 5)
     est_zf = zf(h, y)
-    est_mmse = mmse(h, y, SnrSpec.noiseless())
+    est_mmse = mmse(h, y, SnrSpec(math.inf))
     np.testing.assert_array_equal(est_mmse, est_zf)
 
 

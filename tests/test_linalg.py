@@ -61,12 +61,6 @@ class TestFlopCounter:
         with pytest.raises(ValueError):
             c.charge(multiplications=-4)
 
-    def test_reset(self):
-        c = FlopCounter()
-        c.charge(additions=7, multiplications=9)
-        c.reset()
-        assert c.total == 0
-
 
 class TestFlopFormulas:
     @pytest.mark.parametrize(

@@ -46,6 +46,13 @@ def _point(**overrides) -> PointSpec:
     return PointSpec(**base)
 
 
+def _forbid_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+
+
 class TestTrialRng:
     def test_same_key_same_stream(self):
         a = trial_rng(0, 4, 4, 10.0, 7).standard_normal(5)
@@ -331,6 +338,11 @@ class TestRunPoint:
         parallel = run_point(p, n_jobs=n_jobs)
         assert sequential == parallel
 
+    def test_a_single_chunk_starts_no_pool(self, monkeypatch):
+        p = _point(max_trials=300)
+        _forbid_pool(monkeypatch)
+        assert run_point(p, n_jobs=2) == run_point(p, n_jobs=1)
+
     def test_singular_detector_trials_are_aborted_and_flagged(self):
         # nt > nr makes the Gram matrix singular on every draw
         p = _point(nt=4, nr=2, detector=DetectorKind.ZF, las_enabled=False,
@@ -507,6 +519,20 @@ class TestRhoGroups:
         assert [(r.trials_run - 1) // chunk for r in fused] == [0, 2, 1, 2, 0]
         assert [r.flagged for r in fused] == [False, False, False, True, False]
         assert fused[3].trials_run == cfg.max_trials
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_groups_stopping_in_different_chunks_equal_per_cell_runs(self, n_jobs):
+        # three SNR groups, each stopping before its trial cap: a group's
+        # chunks are read while the previous group's are still in flight
+        cfg = ExperimentConfig(nt=4, nr=6, snr_db=[10.0, 8.0, 12.0],
+                               rho=[0.0, 0.5, 1.0, 100.0], n_f=8, max_trials=2500,
+                               min_bit_errors=25, master_seed=0)
+        results = run_sweep(cfg, n_jobs=n_jobs)
+        assert results == [run_point(p) for p in cfg.points()]
+        chunk = montecarlo._CHUNK
+        assert ([(r.trials_run - 1) // chunk for r in results]
+                == [0, 2, 1, 0, 0, 3, 0, 0, 0, 2, 1, 0])
+        assert not any(r.flagged for r in results)
 
     def test_each_cell_stops_on_the_trial_that_reaches_its_floor(self):
         cfg = ExperimentConfig(**self.GRID)
@@ -686,6 +712,14 @@ class TestRunTrace:
                 tracemalloc.stop()
 
         assert peak(16 * 64) <= 1.25 * peak(4 * 64)
+
+    def test_a_single_chunk_starts_no_pool(self, monkeypatch):
+        p = _point(n_f=8)
+        _forbid_pool(monkeypatch)
+        a = run_trace(p, trials=300, n_jobs=1)
+        b = run_trace(p, trials=300, n_jobs=2)
+        assert a.mean_likelihood.tobytes() == b.mean_likelihood.tobytes()
+        assert a.mean_ber.tobytes() == b.mean_ber.tobytes()
 
     def test_requires_search_enabled(self):
         with pytest.raises(ValueError):

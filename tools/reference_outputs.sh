@@ -8,7 +8,10 @@
 # The rho-sweep command is the benchmark's selectivity sweep at seed 0; it is
 # written at --jobs 1 and --jobs 2, and the two files must be identical.  So
 # is the three-chunk trace (1,300 trials: two chunks of 512 and one of 276),
-# which sums its rows across chunk boundaries.
+# which sums its rows across chunk boundaries, and so is the multi-group
+# sweep: rho-sweep is a single group, while here 18 groups stop in chunks
+# 0, 1, 3 and 5, so at --jobs 2 a group's chunks enter the pool while the
+# group before it still has chunks in flight.
 # The two 128x128 commands are the benchmark's mmse-128 and trace-128 cells
 # at fewer trials; they run the search in blocks of a few trials.
 # The commands after it are cheap runs of each way a setting can be given: a
@@ -59,6 +62,11 @@ for jobs in 1 2; do
     cli "rho-sweep-jobs$jobs" ber-rho --n-list 32 --snr-list 10 \
         --rho-list 0.8,0.85,0.9,0.95,1,1.05,1.1,1.15,1.2 --detector mf \
         --steps 90 --trials 100000 --min-errors 25 --seed 0 --jobs "$jobs"
+done
+for jobs in 1 2; do
+    cli "ber-snr-groups-jobs$jobs" ber-snr --nt 8 --nr 8 --detector all \
+        --las both --snr-list 0,5,10 --rho 0.9 --steps 24 --trials 3000 \
+        --min-errors 60 --seed 2 --jobs "$jobs"
 done
 for jobs in 1 2; do
     cli "trace-3chunks-jobs$jobs" trace --nt 8 --nr 8 --snr-list 10 \
