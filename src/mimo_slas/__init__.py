@@ -18,7 +18,6 @@ from .linalg import (
     hermitian_transpose,
     mat_mul,
     mat_vec,
-    real_part_scaled,
 )
 from .montecarlo import (
     BerPoint,

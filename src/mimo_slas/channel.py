@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,11 +34,7 @@ class SnrSpec:
     """Signal-to-noise operating point: snr_db = 10*log10(es/n0)."""
 
     snr_db: float
-    es: float = 1.0
-
-    def __post_init__(self):
-        if not self.es > 0:
-            raise ValueError(f"es must be positive, got {self.es}")
+    es: ClassVar[float] = 1.0
 
     @property
     def n0(self) -> float:

@@ -59,7 +59,7 @@ from .detectors import DetectorKind, detect, mf, slice_bpsk
 from .linalg import FlopCounter, SingularMatrixError
 from .montecarlo import ExperimentConfig, PointSpec, check_distinct, draw, run_sweep, run_trace
 from .selfcheck import run_selfcheck
-from .slas import full_recompute_step_flops, precompute, run
+from .slas import precompute, run
 
 SCHEMA_VERSION = 1
 
@@ -413,15 +413,11 @@ def cmd_flops(args, parser) -> int:
             ws = precompute(inst.h, inst.y, pre_counter)
             counter = FlopCounter()
             run(ws, b0, 1.0, n_f, counter=counter)
-            # the full-recompute row is priced by the per-step model, not measured
-            priced = (("full-recompute", full_recompute_step_flops(n) * n_f),
-                      ("incremental", counter))
-            for mode, measured in priced:
-                report = reconcile(
-                    CostKind.LAS, n, n, measured, n_f=n_f,
-                    extra_note=f"workspace precompute (counted separately)={pre_counter.total}",
-                )
-                rows.append({**_flops_row(report), "mode": mode})
+            report = reconcile(
+                CostKind.LAS, n, n, counter, n_f=n_f,
+                extra_note=f"workspace precompute (counted separately)={pre_counter.total}",
+            )
+            rows.append({**_flops_row(report), "mode": "incremental"})
     _write_rows(args, FLOPS_COLUMNS, rows)
     return 0
 

@@ -11,9 +11,13 @@ The ZF/MMSE quadratic terms assume nt == nr (the models collapse the exact
 cross terms -2*nt^2 - 2*nt*nr to -4*nt^2); instrumented counts from
 :mod:`mimo_slas.detectors` match the models exactly on square systems and
 stay within a few percent otherwise.  The LAS model prices a full gradient
-recomputation every step; :func:`mimo_slas.slas.run` updates the gradient
-incrementally and charges what it does, which measures well below the model,
-and :func:`reconcile` says so in its notes rather than hiding the gap.
+recomputation every step, one complex mat-vec (8*nt^2 - 2*nt) plus one
+vector subtraction (2*nt).  :func:`mimo_slas.slas.run` updates the gradient
+incrementally and charges what it does, which measures well below the model;
+the ``flops`` table's one search row per (nt, n_f), ``mode = incremental``,
+reports both, and :func:`reconcile` says so in its notes rather than hiding
+the gap.  The models import nothing but :mod:`mimo_slas.linalg`'s flop
+conventions.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import enum
 from dataclasses import dataclass
 
 from .linalg import FlopCounter, gauss_invert_flops
-from .slas import full_recompute_step_flops
 
 __all__ = [
     "CostKind",
@@ -90,7 +93,7 @@ def _decomposition(kind: CostKind, nt: int, nr: int, n_f: int | None) -> str:
         )
         return " ".join(parts)
     return (
-        f"per_step_full_recompute={full_recompute_step_flops(nt)} steps={n_f}; "
+        f"per_step_full_recompute={8 * nt**2} steps={n_f}; "
         f"model excludes workspace precompute"
     )
 

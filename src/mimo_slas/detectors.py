@@ -2,29 +2,34 @@
 
 All three are functions of the Gram matrix ``G = H^H H`` and the
 matched-filter output ``z = H^H y``: MF returns ``z``, ZF solves ``G x = z``
-and MMSE solves ``(G + (n0/es) I) x = z`` (:func:`equalize`, one solve by
+and MMSE solves ``(G + (n0/es) I) x = z``.  :func:`equalize` is the one
+switch over the three (one solve by
 :func:`~mimo_slas.linalg.hermitian_solve`, which adds the regularization
 ``n0/es`` and skips its Cholesky check where that shift proves the check
-passes).  :func:`mf`, :func:`zf` and :func:`mmse` take the channel and the
-observation, charge their instrumented real-flop cost to the caller's
-:class:`~mimo_slas.linalg.FlopCounter`, when one is passed, and return the
-complex soft values as an array; :func:`slice_bpsk` turns them into the +-1
-array the search starts from.
+passes).  :func:`detect` takes the channel and the observation, forms ``z``
+by :func:`mf` and, for ZF and MMSE, ``G``, calls :func:`equalize`, charges
+the instrumented real-flop cost to the caller's
+:class:`~mimo_slas.linalg.FlopCounter`, when one is passed, and returns the
+complex soft values as an array; :func:`zf` and :func:`mmse` are
+:func:`detect` of their kind, and :func:`slice_bpsk` turns the soft values
+into the +-1 array the search starts from.
 
 ZF and MMSE never form the filter matrix ``W = G^-1 H^H``, but they are
-charged as if they did: the Gram product, then, once the solve has
-succeeded, the inversion lump, the ``(nt x nt)(nt x nr)`` product that forms
-``W`` and the ``nt x nr`` application to ``y``.  That explicit-``W`` order,
-deliberately not the cheaper "invert, then multiply the matched-filter
-vector" one, is the cost model of the paper, so the instrumented totals line
-up with the closed-form cost models in :mod:`mimo_slas.complexity`.
+charged as if they did: the Gram product, the regularization (MMSE), the
+inversion lump, the ``(nt x nt)(nt x nr)`` product that forms ``W`` and the
+``nt x nr`` application to ``y``, which costs what the matched filter does.
+That explicit-``W`` order, deliberately not the cheaper "invert, then
+multiply the matched-filter vector" one, is the cost model of the paper, so
+the instrumented totals line up with the closed-form cost models in
+:mod:`mimo_slas.complexity`.
 
-A detector that raises :class:`~mimo_slas.linalg.SingularMatrixError` has
-charged the Gram product (and MMSE its regularization) but nothing after it;
-``cli._measured_detection_flops``, which catches the error, discards its
-counter.  ``montecarlo._block`` forms each trial's ``G`` and ``z`` once, for
-detection and for the search workspace, and calls :func:`equalize` with the
-row count ``nr`` that the skip's rounding bound needs.
+A call that raises :class:`~mimo_slas.linalg.SingularMatrixError` has
+charged the matched filter and the Gram product but nothing after them;
+every caller that catches the error (``cli._measured_detection_flops``)
+discards its counter.  ``montecarlo._block`` forms each trial's ``G`` and
+``z`` once, for detection and for the search workspace, and calls
+:func:`equalize` with the row count ``nr`` that the skip's rounding bound
+needs.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ from .linalg import (
     mat_mul,
     mat_mul_flops,
     mat_vec,
-    mat_vec_flops,
 )
 
 __all__ = ["DetectorKind", "mf", "zf", "mmse", "detect", "equalize", "slice_bpsk"]
@@ -66,7 +70,7 @@ def zf(h: np.ndarray, y: np.ndarray, counter: FlopCounter | None = None) -> np.n
     Propagates :class:`~mimo_slas.linalg.SingularMatrixError` when the Gram
     matrix is numerically singular (e.g. nt > nr).
     """
-    return _filtered(DetectorKind.ZF, h, y, None, counter)
+    return detect(DetectorKind.ZF, h, y, None, counter)
 
 
 def mmse(
@@ -78,42 +82,31 @@ def mmse(
     times the complex identity diagonal) plus 2*nt additions (complex
     diagonal add).  With n0 = 0 this degrades to ZF exactly.
     """
-    if counter is not None:
-        nt = np.shape(h)[-1]
-        counter.charge(additions=2 * nt, multiplications=2 * nt)
-    return _filtered(DetectorKind.MMSE, h, y, snr, counter)
-
-
-def _filtered(kind, h, y, snr, counter):
-    """:func:`equalize` from the channel and the observation, charged as
-    forming the explicit filter and applying it (see the module docstring)."""
-    hh = hermitian_transpose(h)
-    soft = equalize(kind, mat_mul(hh, h, counter), mat_vec(hh, y), snr, h.shape[0])
-    if counter is not None:
-        nt, nr = hh.shape
-        form_adds, form_mults = mat_mul_flops(nt, nr, nt)
-        apply_adds, apply_mults = mat_vec_flops(nt, nr)
-        counter.charge(additions=form_adds + apply_adds,
-                       multiplications=gauss_invert_flops(nt) + form_mults + apply_mults)
-    return soft
+    return detect(DetectorKind.MMSE, h, y, snr, counter)
 
 
 def detect(
-    kind: DetectorKind, h: np.ndarray, y: np.ndarray, snr: SnrSpec,
+    kind: DetectorKind, h: np.ndarray, y: np.ndarray, snr: SnrSpec | None,
     counter: FlopCounter | None = None,
 ) -> np.ndarray:
     """The linear detector ``kind`` applied to ``y`` (``snr`` is read by MMSE only).
 
-    Looks ``mf``/``zf``/``mmse`` up by module global name on every call, so a
-    wrapper installed on them after import sees every dispatched call.
+    Forms ``z`` by :func:`mf`, looked up by module global name on every call
+    so that a wrapper installed on it after import sees the call, and for ZF
+    and MMSE the Gram matrix, then charges the explicit filter of the cost
+    model once :func:`equalize` has succeeded (see the module docstring).
     """
+    z = mf(h, y, counter)
     if kind == DetectorKind.MF:
-        return mf(h, y, counter)
-    if kind == DetectorKind.ZF:
-        return zf(h, y, counter)
-    if kind == DetectorKind.MMSE:
-        return mmse(h, y, snr, counter)
-    raise ValueError(f"unknown detector: {kind!r}")
+        return z
+    nr, nt = np.shape(h)
+    soft = equalize(kind, mat_mul(hermitian_transpose(h), h, counter), z, snr, nr)
+    if counter is not None:
+        form_adds, form_mults = mat_mul_flops(nt, nr, nt)
+        regularize = 2 * nt if kind == DetectorKind.MMSE else 0
+        counter.charge(additions=regularize + form_adds,
+                       multiplications=regularize + gauss_invert_flops(nt) + form_mults)
+    return soft
 
 
 def equalize(
@@ -130,7 +123,7 @@ def equalize(
     matrix.  ``rows``, the row count ``nr`` of ``H`` when ``gram`` is the
     computed product ``H^H H``, lets MMSE skip the Cholesky check where its
     regularization proves that the check passes; it changes no result.
-    Charges nothing: :func:`zf` and :func:`mmse` price the filter.
+    Charges nothing: :func:`detect` prices the filter.
     """
     if kind == DetectorKind.MF:
         return z

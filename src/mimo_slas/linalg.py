@@ -45,7 +45,6 @@ __all__ = [
     "mat_vec",
     "gauss_invert",
     "hermitian_solve",
-    "real_part_scaled",
     "mat_mul_flops",
     "mat_vec_flops",
     "gauss_invert_flops",
@@ -295,13 +294,3 @@ def hermitian_solve(
             return gauss_invert(a) @ b
     return np.linalg.solve(a, b)
 
-
-def real_part_scaled(
-    a: np.ndarray, factor: float, counter: FlopCounter | None = None
-) -> np.ndarray:
-    """``factor * Re(a)`` as a real array; extraction is free, scaling charges one
-    multiplication per entry."""
-    a = np.asarray(a)
-    if counter is not None:
-        counter.charge(multiplications=a.size)
-    return factor * a.real.astype(np.float64, copy=False)

@@ -645,10 +645,10 @@ def _in_order(run, chunks, n_jobs: int):
     At most ``n_jobs`` chunks are in flight, and the next is read only when a
     slot is free.  A pool starts only when ``n_jobs > 1`` and there is more
     than one chunk; otherwise each chunk runs in process as it is read.  On
-    exit queued chunks are cancelled, and the pool is waited for only when no
-    chunk still runs: that closes it before the interpreter's exit hook
-    writes to its wakeup pipe ("Bad file descriptor"), while a running chunk
-    is left to the hook, which joins it as the caller writes its output.
+    exit queued chunks are cancelled and the pool is waited for, running
+    chunks included: a pool left running races the interpreter's exit hook
+    on its wakeup pipe ("Bad file descriptor", or an exception ignored in
+    ``threading``), and that hook would wait for the running chunks anyway.
     """
     chunks = iter(chunks)
     first = list(islice(chunks, n_jobs))
@@ -668,7 +668,7 @@ def _in_order(run, chunks, n_jobs: int):
             args, future = pending.popleft()
             yield args, future.result()
     finally:
-        executor.shutdown(wait=not any(f.running() for _, f in pending), cancel_futures=True)
+        executor.shutdown(wait=True, cancel_futures=True)
 
 
 def _run_cells(points: list[PointSpec], n_jobs: int) -> list[BerPoint]:

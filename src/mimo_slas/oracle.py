@@ -65,8 +65,8 @@ def ml_bruteforce(ws: SlasWorkspace) -> MlResult:
     return MlResult(b_star=best_b, lambda_star=likelihood(ws, best_b))
 
 
-def is_local_optimum(ws: SlasWorkspace, b: np.ndarray, tol: float = 1e-9) -> bool:
-    """True iff no single-bit flip raises the likelihood by more than tol.
+def is_local_optimum(ws: SlasWorkspace, b: np.ndarray) -> bool:
+    """True iff no single-bit flip raises the likelihood by more than 1e-9.
 
     Evaluates each flipped candidate by direct recomputation (no shared
     incremental identity with the search).
@@ -76,6 +76,6 @@ def is_local_optimum(ws: SlasWorkspace, b: np.ndarray, tol: float = 1e-9) -> boo
     for j in range(b.shape[0]):
         candidate = b.copy()
         candidate[j] = -candidate[j]
-        if likelihood(ws, candidate) > base + tol:
+        if likelihood(ws, candidate) > base + 1e-9:
             return False
     return True

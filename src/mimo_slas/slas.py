@@ -56,8 +56,6 @@ from .linalg import (
     hermitian_transpose,
     mat_mul,
     mat_vec,
-    mat_vec_flops,
-    real_part_scaled,
 )
 
 __all__ = [
@@ -69,7 +67,6 @@ __all__ = [
     "likelihood",
     "gradient_full",
     "run",
-    "full_recompute_step_flops",
 ]
 
 
@@ -188,9 +185,9 @@ def workspace(
     stacked workspaces of stacks of them; :func:`precompute` after its two
     products."""
     if counter is not None:
-        counter.charge(multiplications=z.size)  # scaling Re(H^H y) by 2
+        counter.charge(multiplications=z.size + gram.size)  # scaling both real parts by 2
     y_eff = 2.0 * z.real
-    h_real = real_part_scaled(gram, 2.0, counter)
+    h_real = 2.0 * gram.real
     zeta_base = np.abs(np.diagonal(h_real, axis1=-2, axis2=-1))
     return SlasWorkspace(y_eff=y_eff, h_real=h_real, zeta_base=zeta_base)
 
@@ -201,24 +198,10 @@ def likelihood(ws: SlasWorkspace, b: np.ndarray) -> float:
     return float(b @ ws.y_eff - 0.5 * (b @ (ws.h_real @ b)))
 
 
-def gradient_full(
-    ws: SlasWorkspace, b: np.ndarray, counter: FlopCounter | None = None
-) -> np.ndarray:
-    """g = y_eff - H_real b recomputed from scratch (2*nt^2 real flops)."""
+def gradient_full(ws: SlasWorkspace, b: np.ndarray) -> np.ndarray:
+    """g = y_eff - H_real b recomputed from scratch."""
     b = np.asarray(b, dtype=np.float64)
-    nt = ws.nt
-    if counter is not None:
-        # real mat-vec: nt^2 mults + nt*(nt-1) adds, then nt subtractions
-        counter.charge(additions=nt * nt, multiplications=nt * nt)
     return ws.y_eff - ws.h_real @ b
-
-
-def full_recompute_step_flops(nt: int) -> int:
-    """Model cost of one step if the gradient were recomputed from scratch
-    at complex rates: one mat-vec (8*nt^2 - 2*nt) plus one vector
-    subtraction (2*nt) = exactly 8*nt^2."""
-    adds, mults = mat_vec_flops(nt, nt)
-    return adds + mults + 2 * nt
 
 
 def run(

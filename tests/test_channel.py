@@ -27,10 +27,6 @@ def test_snr_spec_n0_values():
     assert SnrSpec(snr_db=-10.0).n0 == pytest.approx(10.0)
 
 
-def test_snr_spec_scales_with_symbol_energy():
-    assert SnrSpec(snr_db=10.0, es=4.0).n0 == pytest.approx(0.4)
-
-
 def test_noiseless_spec():
     spec = SnrSpec(math.inf)
     assert spec.snr_db == np.inf

@@ -366,15 +366,15 @@ class TestFlops:
         _, out = _run(["flops", "--n-list", "2,4", "--steps-list", "4"], capsys)
         rows = _parse_csv(out)
         assert list(rows[0].keys()) == FLOPS_COLUMNS
-        # per antenna count: mf, zf, mmse, then one steps value in two modes
-        assert len(rows) == 2 * 5
+        # per antenna count: mf, zf, mmse, then one search row per steps value
+        assert len(rows) == 2 * 4
         by_kind = {(r["nt"], r["detector"], r["mode"]): r for r in rows}
         for n in ("2", "4"):
             assert by_kind[(n, "mf", "")]["verdict"] == "EXACT"
             assert by_kind[(n, "zf", "")]["verdict"] == "EXACT"
             assert by_kind[(n, "mmse", "")]["verdict"] == "EXACT"
-            assert by_kind[(n, "las", "full-recompute")]["verdict"] == "EXACT"
             incremental = by_kind[(n, "las", "incremental")]
+            assert int(incremental["flops_model"]) == 8 * int(n) * int(n) * 4
             assert incremental["verdict"] == "DIVERGENT"
             assert "incremental" in incremental["notes"]
 
@@ -601,12 +601,20 @@ def test_console_script_is_byte_deterministic_across_jobs(package_env):
      "--trials", "1100", "--seed", "2"],
     ["ber-snr", "--nt", "8", "--nr", "8", "--detector", "all", "--las", "both", "--snr-list",
      "0,5,10", "--rho", "0.9", "--steps", "24", "--trials", "3000", "--min-errors", "60"],
-], ids=["ber-rho", "trace", "ber-snr"])
+    ["ber-snr", "--nt", "8", "--nr", "8", "--detector", "all", "--las", "both", "--snr-list",
+     "10,5,0", "--rho", "0.9", "--steps", "24", "--trials", "3000", "--min-errors", "60"],
+    ["ber-rho", "--n-list", "32", "--snr-list", "10", "--rho-list", "0.8,0.9,1,1.1,1.2",
+     "--steps", "90", "--trials", "3000", "--min-errors", "5", "--seed", "2"],
+], ids=["ber-rho", "trace", "ber-snr", "ber-snr-reversed", "ber-rho-stops"])
 def test_pooled_commands_exit_cleanly(argv, tmp_path, package_env):
     # several chunks over two workers; the pool must shut down without a word
     # on stderr (the interpreter's exit hook once raced the pool's wakeup
     # pipe).  The 18 ber-snr cells, one group each, stop in chunks 0 to 5, so
-    # groups stop with their next chunk still in flight
+    # groups stop with their next chunk still in flight.  ber-snr cells that
+    # end at the trial cap keep the sweep reading to its last chunk, so the
+    # sweep that ends with a chunk still running, which the pool must wait
+    # for, is ber-rho-stops: its last cell stops in chunk 2, usually while
+    # chunk 3 still runs
     pooled, alone = tmp_path / "pooled.csv", tmp_path / "alone.csv"
     proc = subprocess.run(
         [sys.executable, "-m", "mimo_slas.cli", *argv, "--jobs", "2", "--out", str(pooled)],

@@ -8,7 +8,7 @@ from mimo_slas.channel import SnrSpec, assemble, sample_bpsk, sample_channel
 from mimo_slas.complexity import CostKind, flops_closed_form, reconcile
 from mimo_slas.detectors import mf, mmse, slice_bpsk, zf
 from mimo_slas.linalg import FlopCounter
-from mimo_slas.slas import full_recompute_step_flops, precompute, run
+from mimo_slas.slas import precompute, run
 
 # matched filter at nt == nr, from 8*n^2 - 2*n
 MF_SQUARE_TABLE = {1: 6, 2: 28, 16: 2016, 64: 32640, 256: 523776}
@@ -82,14 +82,6 @@ def test_zf_reconciles_within_tolerance_on_tall_systems():
     assert report.verdict == "WITHIN_TOL"
     assert 0.0 < report.relative_error <= 0.10
     assert "model_minus_measured" in report.notes
-
-
-def test_search_reconciles_exactly_in_full_recompute_mode():
-    # the flops table's full-recompute row: the per-step model times n_f
-    nt = 32
-    report = reconcile(CostKind.LAS, nt, nt, full_recompute_step_flops(nt) * 96, n_f=96)
-    assert report.verdict == "EXACT"
-    assert report.measured_flops == 786432
 
 
 def test_search_incremental_mode_reports_divergence_with_note():

@@ -20,7 +20,6 @@ from mimo_slas.linalg import (
     mat_mul_flops,
     mat_vec,
     mat_vec_flops,
-    real_part_scaled,
 )
 
 
@@ -309,13 +308,3 @@ class TestHermitianSolve:
         with pytest.raises(DimensionMismatchError):
             hermitian_solve(np.eye(3), np.ones(2))
 
-
-class TestRealPartScaled:
-    def test_values_and_charge(self):
-        a = np.array([[1 + 2j, 3 - 4j], [0 + 1j, -2 + 0j]])
-        c = FlopCounter()
-        got = real_part_scaled(a, 2.0, c)
-        np.testing.assert_array_equal(got, np.array([[2.0, 6.0], [0.0, -4.0]]))
-        assert got.dtype == np.float64
-        assert c.real_multiplications == 4
-        assert c.real_additions == 0
