@@ -4,9 +4,9 @@ Matrices are 2-D ``numpy.ndarray`` (complex128), vectors 1-D.
 :func:`hermitian_transpose`, :func:`mat_mul` and :func:`mat_vec` also take
 stacks of them along leading axes: numpy's ``matmul`` then calls the same
 BLAS routine once per slice, so each slice of the result is bit for bit the
-product of that slice alone.  Every arithmetic operation charges a
-deterministic number of real floating-point operations (per slice) to an
-optional :class:`FlopCounter` under the convention
+product of that slice alone.  Every product charges a deterministic
+number of real floating-point operations (per slice) to an optional
+:class:`FlopCounter` under the convention
 
 * one real addition or multiplication  = 1 flop,
 * one complex addition                 = 2 flops,
@@ -15,8 +15,9 @@ optional :class:`FlopCounter` under the convention
 
 A matrix product (m x p)(p x n) therefore charges ``6*m*n*p`` multiplication
 flops and ``2*m*n*(p-1)`` addition flops.  Matrix inversion is charged the
-textbook lump cost ``ceil(2/3 * n^3)`` so that instrumented totals line up
-with the closed-form detector cost models in :mod:`mimo_slas.complexity`.
+textbook lump cost ``ceil(2/3 * n^3)`` (:func:`gauss_invert_flops`, which the
+detectors charge) so that instrumented totals line up with the closed-form
+detector cost models in :mod:`mimo_slas.complexity`.
 
 The ZF and MMSE soft values ``(G + shift I)^-1 z`` are computed by
 :func:`hermitian_solve` through numpy's LAPACK (a Cholesky check, then a
@@ -171,10 +172,9 @@ def mat_vec(a: np.ndarray, x: np.ndarray, counter: FlopCounter | None = None) ->
     return a @ x if x.ndim == 1 else (a @ x[..., None])[..., 0]
 
 
-def gauss_invert(a: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
-    """Explicit inverse by Gauss-Jordan elimination with partial pivoting.
-
-    Charges the lump cost ceil(2/3 * n^3).  Raises
+def gauss_invert(a: np.ndarray) -> np.ndarray:
+    """Explicit inverse by Gauss-Jordan elimination with partial pivoting;
+    uncharged (callers charge :func:`gauss_invert_flops`).  Raises
     :class:`SingularMatrixError` naming the pivot column when the best
     available pivot magnitude falls below ``_PIVOT_TOL``.
     """
@@ -194,8 +194,6 @@ def gauss_invert(a: np.ndarray, counter: FlopCounter | None = None) -> np.ndarra
         factors = aug[:, col].copy()
         factors[col] = 0.0
         aug -= np.outer(factors, aug[col])
-    if counter is not None:
-        counter.charge(multiplications=gauss_invert_flops(n))
     return np.ascontiguousarray(aug[:, n:])
 
 

@@ -14,18 +14,20 @@ Stopping rule: a point runs trials in index order until the cumulative bit
 errors reach ``min_bit_errors`` or ``max_trials`` is exhausted; a point that
 exhausts the cap below the error floor is flagged, not hidden.
 
-Block draw: :func:`trial_rng` and the ``channel`` samplers define the
-contract, one generator per trial.  :func:`_draws` reproduces them for a
-block of consecutive trials: it runs SeedSequence's hash vectorised over the
-trial indices and PCG64's seeding on Python ints, sets the result on one
-reused generator, makes each trial's three generator calls in the
-reference's order, and forms the stacked channel, payload, noise and
-observation with the reference's elementwise formulas.  ``TestBlockDraw``
-in ``tests/test_montecarlo.py`` pins the generator states and the inputs bit
-for bit against the reference, and the stacked detection, workspace and
-search start (for ZF and MMSE, through the shared ``H^H H`` and ``H^H y``)
-against per-trial calls; ``tools/reference_outputs.sh`` and acceptance
-criterion 9 pin the outputs.
+Block draw: :func:`draw`, that is :func:`trial_rng` and the ``channel``
+samplers with one generator per trial, is the reference of the contract.
+:func:`_draws` reproduces it for a block of consecutive trials: it reads
+SeedSequence's pool after the key's four integers from numpy (once per key),
+runs SeedSequence's hash of the trial index vectorised over the indices and
+PCG64's seeding on Python ints, sets the result on one reused generator,
+makes each trial's three generator calls in the reference's order, and forms
+the stacked channel, payload and observation with the reference's
+elementwise formulas.  ``TestBlockDraw`` in ``tests/test_montecarlo.py``
+pins the generator states and the inputs bit for bit against the
+reference, and the stacked detection, workspace and search start (for ZF
+and MMSE, through the shared ``H^H H`` and ``H^H y``) against per-trial
+calls; ``tools/reference_outputs.sh`` and acceptance criterion 9 pin the
+outputs.
 
 Execution: cells that differ only in rho form a group and run over shared
 chunks of ``_CHUNK`` trial indices, the unit of the process pool and of the
@@ -57,7 +59,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .channel import ChannelInstance, SnrSpec
+from .channel import ChannelInstance, SnrSpec, assemble, sample_bpsk, sample_channel
 from .detectors import DetectorKind, equalize, mf, slice_bpsk
 from .linalg import SingularMatrixError, hermitian_transpose, mat_mul
 from .slas import SlasBlock, SlasTrace, SlasWorkspace, precompute, run, workspace
@@ -309,7 +311,8 @@ def trial_rng(
     With :func:`~mimo_slas.channel.sample_channel`,
     :func:`~mimo_slas.channel.sample_bpsk` and
     :func:`~mimo_slas.channel.assemble` it is the reference of the seed
-    contract, which :func:`_draws` reproduces a block at a time.
+    contract, which :func:`draw` makes and :func:`_draws` reproduces a block
+    at a time.
     """
     seq = np.random.SeedSequence(
         (master_seed, nt, nr, _encode_snr(snr_db), trial_index)
@@ -345,7 +348,7 @@ def _chain(hc: int, mult: int, count: int) -> list[int]:
 
 def _hash(value, before, after):
     """``hashmix`` with hash constant ``before`` (and ``after``, the next one),
-    on a Python int or elementwise on uint32 arrays."""
+    elementwise on uint32 arrays."""
     value = (value ^ before) * after & _M32
     return value ^ value >> 16
 
@@ -358,21 +361,15 @@ def _mix(x, y):
 
 @functools.lru_cache(maxsize=16)
 def _seed_prefix(key: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """SeedSequence's pool after the words of ``key``, and its next hash
-    constant.  A key of four integers has at least four words (the pool's
-    size), so a trial index that follows is absorbed word by word."""
-    words = [w for v in key for w in _words(v)]
-    hc = _chain(_INIT_A, _MULT_A, 4 + 12 + 4 * (len(words) - 4))
-    calls = iter(zip(hc, hc[1:]))
-    pool = [_hash(w, *next(calls)) for w in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(calls)))
-    for w in words[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], _hash(w, *next(calls)))
-    return tuple(pool), hc[-1]
+    """SeedSequence's pool after the words of ``key``, read from numpy, and
+    the hash constant that follows it: the pool took four hashes, twelve to
+    mix and four per word after the fourth.  A key of four integers has at
+    least four words (the pool's size), so a trial index that follows is
+    absorbed word by word."""
+    # first, as it raises on a negative integer, on which _words never returns
+    pool = tuple(np.random.SeedSequence(key).pool.tolist())
+    words = sum(len(_words(v)) for v in key)
+    return pool, _INIT_A * pow(_MULT_A, 16 + 4 * (words - 4), 1 << 32) & _M32
 
 
 def _trial_states(key: tuple[int, ...], start: int, stop: int) -> list[tuple[int, int]]:
@@ -405,13 +402,13 @@ def _trial_states(key: tuple[int, ...], start: int, stop: int) -> list[tuple[int
 def _draws(master_seed: int, nt: int, nr: int, snr_db: float, start: int, stop: int):
     """The inputs of trials [start, stop), in sub-blocks of consecutive trials.
 
-    Yields ``(first trial, h, b_true, noise, y)`` with the arrays stacked
-    along a leading trial axis.  A sub-block holds at most ``_DRAW_BYTES`` of
+    Yields ``(first trial, h, b_true, y)`` with the arrays stacked along a
+    leading trial axis.  A sub-block holds at most ``_DRAW_BYTES`` of
     complex channel.  Each trial's generator is set to the state that
     :func:`trial_rng` gives it (with no buffered 32-bit word) and makes the
     calls of ``sample_channel``, ``sample_bpsk`` and ``assemble`` in their
     order: the 2*nr*nt normals of H's real and imaginary blocks, the payload
-    bits, the 2*nr normals of the noise.  H, the payload, the noise and y are
+    bits, the 2*nr normals of the noise.  H, the payload and the noise are
     then formed with those functions' elementwise formulas, and y with one
     stacked product, so every trial's inputs are bit for bit :func:`draw`'s.
     """
@@ -445,19 +442,18 @@ def _draws(master_seed: int, nt: int, nr: int, snr_db: float, start: int, stop: 
         # 256 KiB buffer made malloc trim and page the heap in again on every
         # sub-block (65 minor page faults per trial at 128x128).
         del z, e
-        yield start + lo, h, b_true, noise, y
+        yield start + lo, h, b_true, y
 
 
 def draw(
     master_seed: int, nt: int, nr: int, snr_db: float, trial_index: int
 ) -> ChannelInstance:
-    """One trial's channel, payload, noise and observation, from its seed key
-    (a block of one of :func:`_draws`)."""
+    """One trial's channel, payload, noise and observation, from its seed key:
+    the reference of the seed contract, which :func:`_draws` reproduces a
+    block at a time."""
+    rng = trial_rng(master_seed, nt, nr, snr_db, trial_index)
     snr = SnrSpec(snr_db)
-    _, h, b_true, noise, y = next(_draws(master_seed, nt, nr, snr_db,
-                                         trial_index, trial_index + 1))
-    return ChannelInstance(h=h[0], b_true=b_true[0], noise=noise[0], y=y[0],
-                           n0=snr.n0, es=snr.es)
+    return assemble(sample_channel(nt, nr, rng), sample_bpsk(nt, snr.es, rng), snr, rng)
 
 
 def trial(
@@ -525,7 +521,7 @@ def _block(cells: tuple[PointSpec, ...], start: int, stop: int) -> dict:
         n, nt = stop - start, p.nt
         y_eff, zeta, bits, truth = (np.empty((n, nt)) for _ in range(4))
         h_real = np.empty((n, nt, nt))
-    for first, h, b_true, _, y in _draws(p.master_seed, p.nt, p.nr, p.snr_db, start, stop):
+    for first, h, b_true, y in _draws(p.master_seed, p.nt, p.nr, p.snr_db, start, stop):
         z, gram = mf(h, y), None
         if p.detector is DetectorKind.MF:
             kept = range(len(h))
@@ -677,8 +673,9 @@ def _run_cells(points: list[PointSpec], n_jobs: int) -> list[BerPoint]:
     Cells that differ only in rho form a group and share fixed-size chunks of
     trial indices.  Each chunk lists the group's cells still active when it
     is read.  Every cell scans its own row in index order and leaves the
-    group when its stop fires, so it stops on the same trial at any worker
-    count and in any group.  No result is read after every cell has stopped.
+    group when its stop fires or its trials reach the cap, so it stops on the
+    same trial at any worker count and in any group.  No result is read after
+    every cell has stopped.
     """
     groups: dict[PointSpec, list[PointSpec]] = {}
     for point in points:
@@ -699,7 +696,8 @@ def _run_cells(points: list[PointSpec], n_jobs: int) -> list[BerPoint]:
     with closing(_in_order(_ber_chunk, chunks(), n_jobs)) as results:
         for (cells, _, _), counts in results:
             for row, p in zip(counts, cells):
-                if p not in stopped and _scan(row, states[p]):
+                if p not in stopped and (_scan(row, states[p])
+                                         or states[p]["trials"] == p.max_trials):
                     stopped.add(p)
             if len(stopped) == len(points):
                 break

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mimo_slas.channel import SnrSpec, sample_bpsk, sample_channel
-from mimo_slas import detectors
+from mimo_slas import detectors, linalg
 from mimo_slas.complexity import CostKind, flops_closed_form
 from mimo_slas.detectors import (
     DetectorKind,
@@ -22,6 +22,7 @@ from mimo_slas.linalg import (
     FlopCounter,
     SingularMatrixError,
     gauss_invert,
+    gauss_invert_flops,
     hermitian_solve,
     hermitian_transpose,
     mat_mul,
@@ -97,6 +98,30 @@ def test_zf_and_mmse_match_numpy_solve_on_ill_conditioned_square_channels(n, con
     est = mmse(h, y, snr)
     ref = np.linalg.solve(hh @ h + (snr.n0 / snr.es) * np.eye(n), hh @ y)
     np.testing.assert_allclose(est, ref, rtol=0, atol=tol * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("kind,snr_db", [(DetectorKind.ZF, 10.0), (DetectorKind.MMSE, 120.0)])
+def test_zf_and_mmse_match_numpy_solve_where_only_gauss_jordan_accepts_the_gram(
+        kind, snr_db, monkeypatch):
+    # cond(H) = 1e5: the Gram matrix's smallest eigenvalue, 1e-10, fails the
+    # Cholesky check (squared pivots >= 1e-8) but passes Gauss-Jordan's pivot
+    # tolerance 1e-12, so the soft values are gauss_invert(G) @ z.  MMSE's
+    # shift at 120 dB, 1e-12, leaves the matrix as ill-conditioned.
+    inverted = []
+    invert = linalg.gauss_invert
+    monkeypatch.setattr(linalg, "gauss_invert", lambda a: inverted.append(1) or invert(a))
+    snr = SnrSpec(snr_db)
+    for seed in range(3):  # smallest squared Cholesky pivots 5e-10, 1e-10, 1e-10
+        h, y = _ill_conditioned_square(4, 1e5, seed)
+        hh = h.conj().T
+        a = hh @ h
+        if kind is DetectorKind.MMSE:
+            a[np.diag_indices(4)] += snr.n0 / snr.es
+        ref = np.linalg.solve(a, hh @ y)
+        tol = 100 * np.linalg.cond(a) * np.finfo(float).eps
+        np.testing.assert_allclose(detect(kind, h, y, snr), ref, rtol=0,
+                                   atol=tol * np.max(np.abs(ref)), err_msg=str(seed))
+    assert len(inverted) == 3
 
 
 def _outcome(fn):
@@ -213,7 +238,8 @@ def test_zf_and_mmse_charge_the_explicit_filter(nt, nr):
         if kind is DetectorKind.MMSE:
             model.charge(additions=2 * nt, multiplications=2 * nt)
             gram = gram + (snr.n0 / snr.es) * np.eye(nt)
-        mat_vec(mat_mul(gauss_invert(gram, model), hh, model), y, model)
+        model.charge(multiplications=gauss_invert_flops(nt))
+        mat_vec(mat_mul(gauss_invert(gram), hh, model), y, model)
         assert counter == model, kind
 
 

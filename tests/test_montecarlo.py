@@ -4,6 +4,7 @@ stopping behavior, and the sweep grid."""
 import math
 import re
 import tracemalloc
+from contextlib import closing
 from dataclasses import replace
 
 import numpy as np
@@ -109,6 +110,8 @@ class TestDraw:
             trial_rng(seed, 2, 2, 10.0, index)
         with pytest.raises(ValueError, match=re.escape(str(reference.value))):
             draw(seed, 2, 2, 10.0, index)
+        with pytest.raises(ValueError, match=re.escape(str(reference.value))):
+            next(montecarlo._draws(seed, 2, 2, 10.0, index, index + 1))
 
 
 def _reference_draw(master_seed, nt, nr, snr_db, index):
@@ -150,7 +153,7 @@ class TestBlockDraw:
             sizes.append(len(arrays[0]))
             for k in range(len(arrays[0])):
                 ref = _reference_draw(master_seed, nt, nr, snr_db, first + k)
-                for got, want in zip(arrays, (ref.h, ref.b_true, ref.noise, ref.y)):
+                for got, want in zip(arrays, (ref.h, ref.b_true, ref.y)):
                     assert got[k].tobytes() == want.tobytes(), (key, first + k)
         assert sizes == [3, 3, 2]
         inst = draw(master_seed, nt, nr, snr_db, 11)
@@ -172,7 +175,7 @@ class TestBlockDraw:
     @pytest.mark.parametrize("nt", [1, 4, 32, 128])
     def test_stacked_products_equal_per_trial_products(self, nt):
         # equal only because numpy's matmul calls BLAS once per slice of a stack
-        _, h, b_true, _, y = next(montecarlo._draws(1, nt, nt, 0.0, 0, 5))
+        _, h, b_true, y = next(montecarlo._draws(1, nt, nt, 0.0, 0, 5))
         snr = SnrSpec(0.0)
         soft = detect(DetectorKind.MF, h, y, snr)
         gram = mat_mul(hermitian_transpose(h), h)
@@ -216,7 +219,7 @@ class TestBlockDraw:
         inputs = [arrays for _, *arrays in
                   montecarlo._draws(p.master_seed, nt, nt, p.snr_db, 0, stop)]
         h = np.concatenate([arrays[0] for arrays in inputs])
-        y = np.concatenate([arrays[3] for arrays in inputs])
+        y = np.concatenate([arrays[2] for arrays in inputs])
         assert len(inputs) == 2 and len(h) == len(bits) == stop
         for k in range(stop):
             one = precompute(h[k], y[k])
@@ -232,18 +235,18 @@ class TestBlockDraw:
         real_draws = montecarlo._draws
 
         def draws(*args):
-            for first, h, b_true, noise, y in real_draws(*args):
+            for first, h, b_true, y in real_draws(*args):
                 if first <= bad < first + len(h):
                     h = h.copy()
                     h[bad - first, :, 0] = 0.0
-                yield first, h, b_true, noise, y
+                yield first, h, b_true, y
 
         monkeypatch.setattr(montecarlo, "_draws", draws)
         cells = tuple(_point(nt=2, nr=2, detector=DetectorKind.ZF, rho=rho, snr_db=4.0)
                       for rho in (0.8, 1.0))
         p = cells[0]
         outcomes = montecarlo._block(cells, 0, 12)
-        [(_, h, b_true, _, y)] = list(draws(p.master_seed, 2, 2, p.snr_db, 0, 12))
+        [(_, h, b_true, y)] = list(draws(p.master_seed, 2, 2, p.snr_db, 0, 12))
         snr = SnrSpec(p.snr_db)
         with pytest.raises(SingularMatrixError):
             detect(DetectorKind.ZF, h[bad], y[bad], snr)
@@ -580,6 +583,33 @@ class TestRhoGroups:
             expected = fresh(*after)
             fresh(*before)  # leaves only the inputs of ``before`` behind
             assert outcome(*after) == expected, (before, after)
+
+    def test_no_chunk_is_read_after_a_capped_cell_and_a_floored_one_stop(self, monkeypatch):
+        # two groups (their floors differ): the first runs to its trial cap,
+        # the second reaches its floor in its first chunk; at two jobs that
+        # group's second chunk is in flight by then, and it is not read
+        capped = _point(las_enabled=False, max_trials=2 * montecarlo._CHUNK)
+        floored = replace(capped, snr_db=0.0, min_bit_errors=5)
+        real_in_order = montecarlo._in_order
+
+        def last_read(n_jobs):
+            read = []
+
+            def spy(run, chunks, jobs):
+                with closing(real_in_order(run, chunks, jobs)) as results:
+                    for (cells, start, stop), counts in results:
+                        read.append((tuple(cells), start, stop))
+                        yield (cells, start, stop), counts
+
+            monkeypatch.setattr(montecarlo, "_in_order", spy)
+            results = montecarlo._run_cells([capped, floored], n_jobs)
+            assert results[0].trials_run == capped.max_trials
+            assert results[1].trials_run < montecarlo._CHUNK
+            return results, read[-1]
+
+        sequential, last = last_read(1)
+        assert last == ((floored,), 0, montecarlo._CHUNK)
+        assert last_read(2) == (sequential, last)
 
     def test_singular_trials_are_drawn_once_per_group(self, monkeypatch):
         # ZF with nt > nr: every trial aborts, and each is drawn once, not once per cell

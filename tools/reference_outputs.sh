@@ -8,10 +8,10 @@
 # The rho-sweep command is the benchmark's selectivity sweep at seed 0; it is
 # written at --jobs 1 and --jobs 2, and the two files must be identical.  So
 # is the three-chunk trace (1,300 trials: two chunks of 512 and one of 276),
-# which sums its rows across chunk boundaries, and so is the multi-group
-# sweep: rho-sweep is a single group, while here 18 groups stop in chunks
-# 0, 1, 3 and 5, so at --jobs 2 a group's chunks enter the pool while the
-# group before it still has chunks in flight.
+# which sums its rows across chunk boundaries, with 24 steps and with none,
+# and so is the multi-group sweep: rho-sweep is a single group, while here 18
+# groups stop in chunks 0, 1, 3 and 5, so at --jobs 2 a group's chunks enter
+# the pool while the group before it still has chunks in flight.
 # The two 128x128 commands are the benchmark's mmse-128 and trace-128 cells
 # at fewer trials; they run the search in blocks of a few trials.
 # The commands after it are cheap runs of each way a setting can be given: a
@@ -71,6 +71,12 @@ done
 for jobs in 1 2; do
     cli "trace-3chunks-jobs$jobs" trace --nt 8 --nr 8 --snr-list 10 \
         --rho-list 0.9,1 --steps 24 --trials 1300 --jobs "$jobs"
+done
+# the same trace with no search steps: its likelihood rows are one column,
+# kept across the three chunks and summed once
+for jobs in 1 2; do
+    cli "trace-steps0-jobs$jobs" trace --nt 8 --nr 8 --snr-list 10 \
+        --rho-list 0.9,1 --steps 0 --trials 1300 --jobs "$jobs"
 done
 cli mmse-128 ber-snr --nt 128 --nr 128 --las on --rho 1 --min-errors 12800 \
     --snr-list=-10 --detector mmse --steps 128 --trials 20
