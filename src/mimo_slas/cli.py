@@ -63,48 +63,6 @@ from .slas import precompute, run
 
 SCHEMA_VERSION = 1
 
-BER_COLUMNS = [
-    "experiment",
-    "nt",
-    "nr",
-    "snr_db",
-    "detector",
-    "las",
-    "rho",
-    "n_f",
-    "trials",
-    "bit_errors",
-    "ber",
-    "flops_model",
-    "flops_measured",
-    "flagged",
-]
-TRACE_COLUMNS = [
-    "experiment",
-    "nt",
-    "nr",
-    "snr_db",
-    "detector",
-    "rho",
-    "n_f",
-    "trials",
-    "step",
-    "mean_likelihood",
-    "mean_ber",
-]
-FLOPS_COLUMNS = [
-    "nt",
-    "nr",
-    "n_f",
-    "detector",
-    "mode",
-    "flops_model",
-    "flops_measured",
-    "relative_error",
-    "verdict",
-    "notes",
-]
-
 _POW2 = [1, 2, 4, 8, 16, 32, 64, 128, 256]
 _TABLE_N = [1, 2, 4, 16, 32, 64, 128, 256]
 _RHO_GRID = [x / 100 for x in range(80, 121, 5)]
@@ -279,17 +237,20 @@ def _settings(args, parser) -> dict:
     return settings
 
 
-def _write_rows(args, columns, rows) -> None:
-    """Write the rows to ``--out`` (then say so on stdout) or to stdout."""
+def _write_rows(args, rows) -> None:
+    """Write the rows to ``--out`` (then say so on stdout) or to stdout.
+
+    The CSV header is the first row's keys (an empty table has none), so
+    CSV and JSON carry the same fields in the same order.
+    """
     if args.format == "json":
         text = json.dumps({"schema_version": SCHEMA_VERSION, "rows": rows}, indent=2) + "\n"
     else:
         buf = io.StringIO()
         buf.write(f"# schema_version={SCHEMA_VERSION}\n")
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([row[c] for c in columns])
+        writer.writerows([rows[0]] if rows else [])
+        writer.writerows(row.values() for row in rows)
         text = buf.getvalue()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -350,7 +311,7 @@ def cmd_ber(args, parser) -> int:
     """ber-snr, ber-antennas and ber-rho: one sweep over the resolved grid."""
     results = run_sweep(ExperimentConfig.from_mapping(_settings(args, parser)),
                         n_jobs=args.jobs)
-    _write_rows(args, BER_COLUMNS, _ber_rows(args.command, results))
+    _write_rows(args, _ber_rows(args.command, results))
     return 0
 
 
@@ -358,7 +319,7 @@ def cmd_trace(args, parser) -> int:
     cfg = ExperimentConfig.from_mapping(_settings(args, parser))
     rows = []
     for p in cfg.points():
-        agg = run_trace(p, p.max_trials, n_jobs=args.jobs)
+        agg = run_trace(p, n_jobs=args.jobs)
         for step in range(p.n_f + 1):
             rows.append(
                 {
@@ -369,13 +330,13 @@ def cmd_trace(args, parser) -> int:
                     "detector": p.detector.value,
                     "rho": _fmt(p.rho),
                     "n_f": p.n_f,
-                    "trials": p.max_trials,
+                    "trials": agg.trials,
                     "step": step,
                     "mean_likelihood": f"{agg.mean_likelihood[step]:.8e}",
                     "mean_ber": f"{agg.mean_ber[step]:.5e}",
                 }
             )
-    _write_rows(args, TRACE_COLUMNS, rows)
+    _write_rows(args, rows)
     return 0
 
 
@@ -385,7 +346,7 @@ def _flops_row(report) -> dict:
         "nr": report.nr,
         "n_f": report.n_f if report.n_f is not None else "",
         "detector": report.kind.value,
-        "mode": "",
+        "mode": "incremental" if report.kind is CostKind.LAS else "",
         "flops_model": report.model_flops,
         "flops_measured": report.measured_flops,
         "relative_error": f"{report.relative_error:.6g}",
@@ -417,8 +378,8 @@ def cmd_flops(args, parser) -> int:
                 CostKind.LAS, n, n, counter, n_f=n_f,
                 extra_note=f"workspace precompute (counted separately)={pre_counter.total}",
             )
-            rows.append({**_flops_row(report), "mode": "incremental"})
-    _write_rows(args, FLOPS_COLUMNS, rows)
+            rows.append(_flops_row(report))
+    _write_rows(args, rows)
     return 0
 
 
@@ -429,7 +390,7 @@ def cmd_selfcheck(args, parser) -> int:
                          inject_fault=None if fault == "none" else fault)
 
 
-_DETECTORS = ["mf", "zf", "mmse"]
+_DETECTORS = [kind.value for kind in DetectorKind]
 # Every flag: the setting (or, for the last five, the option) it sets, and
 # its argparse keywords.  A setting flag defaults to None, "not given".
 _FLAGS: dict[str, tuple[str, dict]] = {

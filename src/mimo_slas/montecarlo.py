@@ -129,7 +129,7 @@ class TraceAggregate:
     """Mean likelihood/BER trajectories; index 0 is the initializer."""
 
     point: PointSpec
-    trials: int
+    trials: int  # trials averaged: every one of the point's max_trials
     mean_likelihood: np.ndarray  # length n_f + 1
     mean_ber: np.ndarray         # length n_f + 1
 
@@ -470,18 +470,19 @@ def trial(
     ``_ber_chunk``/``_trace_chunk``, the first call for a trial that has no
     outcome yet computes the block that starts there, for every cell of the
     chunk, and the calls after it read their outcome from the block; any
-    other call is a block of one.  An outcome is the same in every block.
+    other call is a block of one that is not kept.  An outcome is the same
+    in every block.
     """
     outcome = _SHARED.get((point, trial_index))
     if outcome is None:
-        cells, stop = (point,), trial_index + 1
-        if _PLAN:
-            planned, start, end = _PLAN[0]
-            if point in planned and start <= trial_index < end:
-                cells, stop = planned, min(end, trial_index + _block_trials(planned))
-        _SHARED.clear()  # drop the previous block before computing the next
-        _SHARED.update(_block(cells, trial_index, stop))
-        outcome = _SHARED[(point, trial_index)]
+        planned, start, end = _PLAN[0] if _PLAN else ((), 0, 0)
+        if point in planned and start <= trial_index < end:
+            _SHARED.clear()  # drop the previous block before computing the next
+            _SHARED.update(_block(planned, trial_index,
+                                  min(end, trial_index + _block_trials(planned))))
+            outcome = _SHARED[(point, trial_index)]
+        else:
+            outcome = _block((point,), trial_index, trial_index + 1)[(point, trial_index)]
     if isinstance(outcome, SingularMatrixError):
         raise outcome.with_traceback(None)
     errors, block, row = outcome
@@ -738,13 +739,14 @@ def _trace_chunk(point: PointSpec, start: int, stop: int):
     return lams, err_sum
 
 
-def run_trace(point: PointSpec, trials: int, n_jobs: int = 1) -> TraceAggregate:
-    """Average likelihood/BER trajectories over a fixed trial count.
+def run_trace(point: PointSpec, n_jobs: int = 1) -> TraceAggregate:
+    """Average likelihood/BER trajectories over all ``max_trials`` trials of
+    the cell; a trace has no error floor, so ``min_bit_errors`` is not read.
 
     Chunks of ``_CHUNK`` trials run with at most ``n_jobs`` in flight (in
     process for one job or one chunk), and each is summed into running
-    totals in chunk order as it arrives, so memory does not grow with
-    ``trials``.  numpy adds the rows of a matrix of two or more columns one
+    totals in chunk order as it arrives, so memory does not grow with the
+    trial count.  numpy adds the rows of a matrix of two or more columns one
     at a time, so the running likelihood sum equals the sum of all the rows
     bit for bit; a single column (``n_f = 0``) it adds pairwise, so those
     rows are kept (8 bytes a trial) and summed once.  Bit errors are integer
@@ -752,8 +754,9 @@ def run_trace(point: PointSpec, trials: int, n_jobs: int = 1) -> TraceAggregate:
     """
     if not point.las_enabled:
         raise ValueError("trace experiments require the search to be enabled")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = point.max_trials
+    if trials < 1:  # a PointSpec built by hand is not validated
+        raise ValueError(f"max_trials must be >= 1, got {trials}")
     chunks = ((point, start, min(start + _CHUNK, trials)) for start in range(0, trials, _CHUNK))
     held: list = []  # likelihood rows not yet summed, in trial order
     err_sum = 0

@@ -197,7 +197,6 @@ def test_criterion_07_convergence_speed():
     nt = 128
     agg = run_trace(
         _point(nt, nt, 10.0, "mf", las=True, rho=1.0, n_f=3 * nt, max_trials=50),
-        trials=50,
         n_jobs=N_JOBS,
     )
     lam = agg.mean_likelihood

@@ -18,14 +18,7 @@ import pytest
 
 from mimo_slas import cli
 from mimo_slas.montecarlo import TraceAggregate
-from mimo_slas.cli import (
-    BER_COLUMNS,
-    FLOPS_COLUMNS,
-    PRESETS,
-    TRACE_COLUMNS,
-    _parse_number_list,
-    main,
-)
+from mimo_slas.cli import PRESETS, _parse_number_list, main
 
 BER_RE = re.compile(r"^\d\.\d{5}e[+-]\d{2,}$")
 
@@ -92,7 +85,10 @@ class TestBerCommands:
         code, out = _run(["ber-snr"] + TINY, capsys)
         assert code == 0
         rows = _parse_csv(out)
-        assert list(rows[0].keys()) == BER_COLUMNS
+        assert list(rows[0].keys()) == [
+            "experiment", "nt", "nr", "snr_db", "detector", "las", "rho", "n_f",
+            "trials", "bit_errors", "ber", "flops_model", "flops_measured", "flagged",
+        ]
         assert len(rows) == 1
         row = rows[0]
         assert row["experiment"] == "ber-snr"
@@ -104,15 +100,23 @@ class TestBerCommands:
         assert int(row["flops_model"]) > 0
         assert int(row["flops_measured"]) > 0
 
-    def test_json_mirrors_csv_rows(self, capsys):
-        _, csv_out = _run(["ber-snr"] + TINY, capsys)
-        _, json_out = _run(["ber-snr"] + TINY + ["--format", "json"], capsys)
+    @pytest.mark.parametrize("argv", [
+        ["ber-snr"] + TINY,
+        ["trace", "--nt", "4", "--nr", "4", "--snr-list", "0,10", "--steps", "3",
+         "--trials", "6", "--seed", "5"],
+        ["flops", "--n-list", "2", "--steps-list", "4"],
+    ], ids=["ber-snr", "trace", "flops"])
+    def test_json_mirrors_csv_rows(self, argv, capsys):
+        _, csv_out = _run(argv, capsys)
+        _, json_out = _run(argv + ["--format", "json"], capsys)
         doc = json.loads(json_out)
         assert doc["schema_version"] == 1
         csv_rows = _parse_csv(csv_out)
-        assert len(doc["rows"]) == len(csv_rows) == 1
-        for key, value in csv_rows[0].items():
-            assert str(doc["rows"][0][key]) == value
+        assert len(doc["rows"]) == len(csv_rows) > 0
+        for json_row, csv_row in zip(doc["rows"], csv_rows):
+            # the same fields in header order, each printed as the CSV prints it
+            assert list(json_row) == list(csv_row)
+            assert [str(v) for v in json_row.values()] == list(csv_row.values())
 
     def test_out_file_and_summary_line(self, tmp_path, capsys):
         target = tmp_path / "result.csv"
@@ -320,7 +324,10 @@ class TestTrace:
             capsys,
         )
         rows = _parse_csv(out)
-        assert list(rows[0].keys()) == TRACE_COLUMNS
+        assert list(rows[0].keys()) == [
+            "experiment", "nt", "nr", "snr_db", "detector", "rho", "n_f", "trials",
+            "step", "mean_likelihood", "mean_ber",
+        ]
         assert len(rows) == 13  # steps + initializer row
         assert [int(r["step"]) for r in rows] == list(range(13))
         lams = [float(r["mean_likelihood"]) for r in rows]
@@ -365,7 +372,10 @@ class TestFlops:
     def test_reconciliation_rows_and_verdicts(self, capsys):
         _, out = _run(["flops", "--n-list", "2,4", "--steps-list", "4"], capsys)
         rows = _parse_csv(out)
-        assert list(rows[0].keys()) == FLOPS_COLUMNS
+        assert list(rows[0].keys()) == [
+            "nt", "nr", "n_f", "detector", "mode", "flops_model", "flops_measured",
+            "relative_error", "verdict", "notes",
+        ]
         # per antenna count: mf, zf, mmse, then one search row per steps value
         assert len(rows) == 2 * 4
         by_kind = {(r["nt"], r["detector"], r["mode"]): r for r in rows}
@@ -552,10 +562,10 @@ class TestJobs:
             seen.append(("sweep", n_jobs))
             return []
 
-        def trace(point, trials, n_jobs=1):
+        def trace(point, n_jobs=1):
             seen.append(("trace", n_jobs))
             flat = np.zeros(point.n_f + 1)
-            return TraceAggregate(point, trials, flat, flat)
+            return TraceAggregate(point, point.max_trials, flat, flat)
 
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         monkeypatch.setattr(cli, "run_sweep", sweep)

@@ -565,10 +565,6 @@ class TestRhoGroups:
                 return errors, None
             return errors, trace.initial_likelihood, trace.likelihood.tobytes()
 
-        def fresh(point, index):
-            montecarlo._SHARED.clear()
-            return outcome(point, index)
-
         p = (_point(snr_db=4.0, rho=0.9), 3)
         others = [
             (p[0], 4),
@@ -580,8 +576,8 @@ class TestRhoGroups:
             (replace(p[0], las_enabled=False), 3),
         ]
         for before, after in [(p, o) for o in others] + [(o, p) for o in others]:
-            expected = fresh(*after)
-            fresh(*before)  # leaves only the inputs of ``before`` behind
+            expected = outcome(*after)
+            outcome(*before)
             assert outcome(*after) == expected, (before, after)
 
     def test_no_chunk_is_read_after_a_capped_cell_and_a_floored_one_stop(self, monkeypatch):
@@ -632,7 +628,7 @@ class TestRhoGroups:
         p = _point(max_trials=20)
         trial(p, 0)
         trial(p, 1)
-        assert list(montecarlo._SHARED) == [(p, 1)]  # outside a chunk: a block of one
+        assert montecarlo._SHARED == {}  # outside a chunk: a block of one, not kept
         monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", 7 * montecarlo._trial_bytes(p.nt, 1))
         kept = []
         real_trial = montecarlo.trial
@@ -648,7 +644,7 @@ class TestRhoGroups:
         assert sorted(set(kept)) == [tuple(range(0, 7)), tuple(range(7, 14)),
                                      tuple(range(14, 20))]
         kept.clear()
-        run_trace(p, trials=4)
+        run_trace(replace(p, max_trials=4))
         assert montecarlo._SHARED == {}
         assert set(kept) == {(0, 1, 2, 3)}
 
@@ -681,7 +677,7 @@ class TestBlocks:
             budget(len(grid["rho"]))
             sweep = run_sweep(cfg)
             budget(1)
-            agg = run_trace(last, trace_trials)
+            agg = run_trace(replace(last, max_trials=trace_trials))
             return sweep, agg.mean_likelihood.tobytes(), agg.mean_ber.tobytes()
 
         default = outputs(None)
@@ -691,8 +687,8 @@ class TestBlocks:
 
 class TestRunTrace:
     def test_shapes_and_initial_column(self):
-        p = _point(n_f=10, snr_db=2.0)
-        agg = run_trace(p, trials=32)
+        p = _point(n_f=10, snr_db=2.0, max_trials=32)
+        agg = run_trace(p)
         assert agg.trials == 32
         assert agg.mean_likelihood.shape == (11,)
         assert agg.mean_ber.shape == (11,)
@@ -702,14 +698,14 @@ class TestRunTrace:
         assert agg.mean_ber[0] == pytest.approx(off.ber, rel=1e-12)
 
     def test_mean_likelihood_monotone_at_unit_rho(self):
-        p = _point(n_f=16, snr_db=6.0)
-        agg = run_trace(p, trials=16)
+        p = _point(n_f=16, snr_db=6.0, max_trials=16)
+        agg = run_trace(p)
         assert np.all(np.diff(agg.mean_likelihood) >= -1e-9)
 
     def test_parallel_equals_sequential(self):
-        p = _point(n_f=8)
-        a = run_trace(p, trials=40, n_jobs=1)
-        b = run_trace(p, trials=40, n_jobs=2)
+        p = _point(n_f=8, max_trials=40)
+        a = run_trace(p, n_jobs=1)
+        b = run_trace(p, n_jobs=2)
         np.testing.assert_array_equal(a.mean_likelihood, b.mean_likelihood)
         np.testing.assert_array_equal(a.mean_ber, b.mean_ber)
 
@@ -718,14 +714,14 @@ class TestRunTrace:
         # seven chunks, the last of four trials, so the pool runs and sums
         # across chunk boundaries; n_f = 0 leaves a single column to average
         monkeypatch.setattr(montecarlo, "_CHUNK", 16)
-        p = _point(n_f=n_f)
+        p = _point(n_f=n_f, max_trials=100)
         traces = [trial(p, i, record_trace=True)[1] for i in range(100)]
         lams = np.mean([np.concatenate(([t.initial_likelihood], t.likelihood))
                         for t in traces], axis=0)
         bers = np.mean([np.concatenate(([t.initial_bit_errors], t.bit_errors))
                         for t in traces], axis=0) / p.nt
         for n_jobs in (1, 2):
-            agg = run_trace(p, trials=100, n_jobs=n_jobs)
+            agg = run_trace(p, n_jobs=n_jobs)
             assert agg.mean_likelihood.tobytes() == lams.tobytes(), n_jobs
             assert agg.mean_ber.tobytes() == bers.tobytes(), n_jobs
 
@@ -736,7 +732,7 @@ class TestRunTrace:
         def peak(trials):
             tracemalloc.start()
             try:
-                run_trace(p, trials, n_jobs=1)
+                run_trace(replace(p, max_trials=trials), n_jobs=1)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -744,17 +740,17 @@ class TestRunTrace:
         assert peak(16 * 64) <= 1.25 * peak(4 * 64)
 
     def test_a_single_chunk_starts_no_pool(self, monkeypatch):
-        p = _point(n_f=8)
+        p = _point(n_f=8, max_trials=300)
         _forbid_pool(monkeypatch)
-        a = run_trace(p, trials=300, n_jobs=1)
-        b = run_trace(p, trials=300, n_jobs=2)
+        a = run_trace(p, n_jobs=1)
+        b = run_trace(p, n_jobs=2)
         assert a.mean_likelihood.tobytes() == b.mean_likelihood.tobytes()
         assert a.mean_ber.tobytes() == b.mean_ber.tobytes()
 
     def test_requires_search_enabled(self):
         with pytest.raises(ValueError):
-            run_trace(_point(las_enabled=False), trials=4)
+            run_trace(_point(las_enabled=False, max_trials=4))
 
     def test_requires_positive_trials(self):
         with pytest.raises(ValueError):
-            run_trace(_point(), trials=0)
+            run_trace(_point(max_trials=0))

@@ -111,6 +111,11 @@ cli preset-fig9 flops --preset fig9 --n-list 2,8 --steps-list 4,16 --seed 2
 run ber-snr --nt 4 --nr 4 --snr-list 0,10 --detector all --las on --rho 0.9 \
     --steps 8 --trials 200 --min-errors 20 --seed 5 --format json \
     --out "$out/ber-snr-json.json" >/dev/null
+# every table is written by the same writer: pin the JSON of the other two
+run trace --nt 6 --nr 8 --snr-list 0,10 --rho-list 0.9,1 --steps 8 --trials 40 \
+    --seed 5 --format json --out "$out/trace-json.json" >/dev/null
+run flops --n-list 2,4 --steps-list 4,8 --seed 1 --format json \
+    --out "$out/flops-json.json" >/dev/null
 run selfcheck --instances 9 >"$out/selfcheck.txt"
 # the injected fault must fail: keep its report and its exit status (1)
 status=0
