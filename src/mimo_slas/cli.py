@@ -55,9 +55,9 @@ import sys
 
 from .channel import SnrSpec
 from .complexity import CostKind, flops_closed_form, reconcile
-from .detectors import DetectorKind, detect, mf, slice_bpsk
+from .detectors import DetectorKind, detect, slice_bpsk
 from .linalg import FlopCounter, SingularMatrixError
-from .montecarlo import ExperimentConfig, PointSpec, check_distinct, draw, run_sweep, run_trace
+from .montecarlo import ExperimentConfig, check_distinct, draw, run_sweep, run_trace
 from .selfcheck import run_selfcheck
 from .slas import precompute, run
 
@@ -67,50 +67,11 @@ _POW2 = [1, 2, 4, 8, 16, 32, 64, 128, 256]
 _TABLE_N = [1, 2, 4, 16, 32, 64, 128, 256]
 _RHO_GRID = [x / 100 for x in range(80, 121, 5)]
 
-# Named experiment grids, keyed by setting; they sit above a --config file
-# and below explicit flags.
-PRESETS: dict[str, tuple[str, dict]] = {
-    "fig1": ("ber-snr", {}),
-    "fig2": ("ber-antennas", {}),
-    "fig3": (
-        "trace",
-        {"nt": 128, "nr": 128, "snr_db": [5.0, 10.0, 20.0], "rho": [1.0],
-         "n_f": 128, "max_trials": 50, "detector": "mf"},
-    ),
-    "fig4": (
-        "ber-rho",
-        {"nt": [32], "snr_db": [10.0],
-         "rho": [x / 10 for x in range(7, 14)], "n_f": 96, "detector": "mf"},
-    ),
-    "fig5": (
-        "trace",
-        {"nt": 64, "nr": 64, "snr_db": [10.0, 20.0, 30.0, 40.0],
-         "rho": [1.0], "n_f": 320, "max_trials": 50, "detector": "mf"},
-    ),
-    "fig6": (
-        "trace",
-        {"nt": 64, "nr": 64, "snr_db": [15.0],
-         "rho": [x / 10 for x in range(8, 14)], "n_f": 256, "max_trials": 50,
-         "detector": "mf"},
-    ),
-    "fig7": (
-        "ber-rho",
-        {"nt": [16, 32, 64, 128], "snr_db": [10.0], "rho": _RHO_GRID,
-         "n_f": 256, "detector": "mf"},
-    ),
-    "fig8": (
-        "ber-rho",
-        {"nt": [32], "snr_db": [0.0, 5.0, 10.0], "rho": _RHO_GRID,
-         "n_f": 100, "detector": "mf"},
-    ),
-    "fig9": ("flops", {}),
-}
-
 _BER_DEFAULTS = {"rho": 1.0, "n_f": 100, "max_trials": 100_000, "min_bit_errors": 5,
                  "master_seed": 0}
-# Each command's built-in settings, keyed like PRESETS: ExperimentConfig
-# fields for the BER commands and trace.  A command's keys are also the only
-# settings its flags may set.
+# Each command's built-in settings, keyed by ExperimentConfig fields for the
+# BER commands and trace.  A command's keys are also the only settings its
+# flags may set.
 DEFAULTS: dict[str, dict] = {
     "ber-snr": {**_BER_DEFAULTS, "nt": 32, "nr": 32,
                 "snr_db": [float(s) for s in range(0, 41, 5)],
@@ -125,6 +86,31 @@ DEFAULTS: dict[str, dict] = {
     "selfcheck": {"instances": 1000, "inject_fault": "none", "master_seed": 0},
 }
 _LAS_AXIS = {"on": (True,), "off": (False,), "both": (False, True)}
+
+
+def _preset(command: str, **changes) -> tuple[str, dict]:
+    """A figure's grid: every setting of ``command``'s DEFAULTS but the seed
+    and a BER sweep's stop rule, updated with what the figure changes.  (A
+    trace's ``max_trials`` is its trial count, so a trace preset pins it.)"""
+    free = ({"master_seed", "max_trials", "min_bit_errors"} if command.startswith("ber-")
+            else {"master_seed"})
+    return command, {k: v for k, v in DEFAULTS[command].items() if k not in free} | changes
+
+
+# Named experiment grids; they sit above a --config file and below explicit
+# flags, so a config can set only what a preset leaves free.
+PRESETS: dict[str, tuple[str, dict]] = {
+    "fig1": _preset("ber-snr"),
+    "fig2": _preset("ber-antennas"),
+    "fig3": _preset("trace"),
+    "fig4": _preset("ber-rho", rho=[x / 10 for x in range(7, 14)], n_f=96),
+    "fig5": _preset("trace", nt=64, nr=64, snr_db=[10.0, 20.0, 30.0, 40.0], n_f=320),
+    "fig6": _preset("trace", nt=64, nr=64, snr_db=[15.0],
+                    rho=[x / 10 for x in range(8, 14)], n_f=256),
+    "fig7": _preset("ber-rho", nt=[16, 32, 64, 128], n_f=256),
+    "fig8": _preset("ber-rho", snr_db=[0.0, 5.0, 10.0]),
+    "fig9": _preset("flops"),
+}
 
 
 def _parse_number_list(text: str, kind):
@@ -260,22 +246,20 @@ def _write_rows(args, rows) -> None:
         sys.stdout.write(text)
 
 
-def _measured_detection_flops(point: PointSpec) -> int | None:
-    """Instrumented cost of trial 0: its detection, precompute and search.
+def _trial_cost(seed, nt, nr, snr_db, detector, rho, n_f) -> tuple[int, int, int]:
+    """Instrumented flops of trial 0: its detection, its workspace precompute
+    and its search; the last two are 0 when ``n_f`` is None (no search).
 
-    ``None`` when trial 0's channel is numerically singular for the detector;
-    the sweep counted such trials as aborted and flagged the cell.
+    Raises :class:`SingularMatrixError` when trial 0's channel is numerically
+    singular for the detector.
     """
-    inst = draw(point.master_seed, point.nt, point.nr, point.snr_db, 0)
-    counter = FlopCounter()
-    try:
-        soft = detect(point.detector, inst.h, inst.y, SnrSpec(point.snr_db), counter)
-    except SingularMatrixError:
-        return None
-    if point.las_enabled:
-        ws = precompute(inst.h, inst.y, counter)
-        run(ws, slice_bpsk(soft), point.rho, point.n_f, counter=counter)
-    return counter.total
+    inst = draw(seed, nt, nr, snr_db, 0)
+    counters = [FlopCounter() for _ in range(3)]
+    soft = detect(detector, inst.h, inst.y, SnrSpec(snr_db), counters[0])
+    if n_f is not None:
+        ws = precompute(inst.h, inst.y, counters[1])
+        run(ws, slice_bpsk(soft), rho, n_f, counter=counters[2])
+    return tuple(c.total for c in counters)
 
 
 def _ber_rows(experiment: str, results) -> list[dict]:
@@ -285,7 +269,12 @@ def _ber_rows(experiment: str, results) -> list[dict]:
         model = flops_closed_form(CostKind(p.detector.value), p.nt, p.nr)
         if p.las_enabled:
             model += flops_closed_form(CostKind.LAS, p.nt, p.nr, p.n_f)
-        measured = _measured_detection_flops(p)
+        try:
+            # the sweep counted a singular trial 0 as aborted and flagged the cell
+            measured = sum(_trial_cost(p.master_seed, p.nt, p.nr, p.snr_db, p.detector,
+                                       p.rho, p.n_f if p.las_enabled else None))
+        except SingularMatrixError:
+            measured = ""
         rows.append(
             {
                 "experiment": experiment,
@@ -300,7 +289,7 @@ def _ber_rows(experiment: str, results) -> list[dict]:
                 "bit_errors": bp.bit_errors,
                 "ber": f"{bp.ber:.5e}",
                 "flops_model": model,
-                "flops_measured": "" if measured is None else measured,
+                "flops_measured": measured,
                 "flagged": "true" if bp.flagged else "false",
             }
         )
@@ -360,23 +349,16 @@ def cmd_flops(args, parser) -> int:
     for name in ("nt", "n_f"):
         check_distinct(name, settings[name])
     seed = settings["master_seed"]
-    snr = SnrSpec(10.0)
     rows = []
     for n in settings["nt"]:
-        inst = draw(seed, n, n, snr.snr_db, 0)
         for kind in (CostKind.MF, CostKind.ZF, CostKind.MMSE):
-            counter = FlopCounter()
-            detect(DetectorKind(kind.value), inst.h, inst.y, snr, counter)
-            rows.append(_flops_row(reconcile(kind, n, n, counter)))
-        b0 = slice_bpsk(mf(inst.h, inst.y))
+            detection, _, _ = _trial_cost(seed, n, n, 10.0, DetectorKind(kind.value), None, None)
+            rows.append(_flops_row(reconcile(kind, n, n, detection)))
         for n_f in settings["n_f"]:
-            pre_counter = FlopCounter()
-            ws = precompute(inst.h, inst.y, pre_counter)
-            counter = FlopCounter()
-            run(ws, b0, 1.0, n_f, counter=counter)
+            _, pre, search = _trial_cost(seed, n, n, 10.0, DetectorKind.MF, 1.0, n_f)
             report = reconcile(
-                CostKind.LAS, n, n, counter, n_f=n_f,
-                extra_note=f"workspace precompute (counted separately)={pre_counter.total}",
+                CostKind.LAS, n, n, search, n_f=n_f,
+                extra_note=f"workspace precompute (counted separately)={pre}",
             )
             rows.append(_flops_row(report))
     _write_rows(args, rows)

@@ -25,11 +25,11 @@ the instrumented totals line up with the closed-form cost models in
 
 A call that raises :class:`~mimo_slas.linalg.SingularMatrixError` has
 charged the matched filter and the Gram product but nothing after them;
-every caller that catches the error (``cli._measured_detection_flops``)
-discards its counter.  ``montecarlo._block`` forms each trial's ``G`` and
-``z`` once, for detection and for the search workspace, and calls
-:func:`equalize` with the row count ``nr`` that the skip's rounding bound
-needs.
+every caller that catches the error (``cli._ber_rows``, around
+``cli._trial_cost``) discards its counter.  ``montecarlo._block`` forms
+each trial's ``G`` and ``z`` once, for detection and for the search
+workspace, and calls :func:`equalize` with the row count ``nr`` that the
+skip's rounding bound needs.
 """
 
 from __future__ import annotations

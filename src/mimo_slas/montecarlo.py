@@ -520,7 +520,7 @@ def _block(cells: tuple[PointSpec, ...], start: int, stop: int) -> dict:
     searched: list[int] = []  # trials with a workspace, in stacking order
     if p.las_enabled:
         n, nt = stop - start, p.nt
-        y_eff, zeta, bits, truth = (np.empty((n, nt)) for _ in range(4))
+        y_eff, bits, truth = (np.empty((n, nt)) for _ in range(3))
         h_real = np.empty((n, nt, nt))
     for first, h, b_true, y in _draws(p.master_seed, p.nt, p.nr, p.snr_db, start, stop):
         z, gram = mf(h, y), None
@@ -550,12 +550,12 @@ def _block(cells: tuple[PointSpec, ...], start: int, stop: int) -> dict:
         # trial on trace-128
         ws = precompute(h, y) if gram is None else workspace(gram, z)
         rows = slice(len(searched), len(searched) + len(kept))
-        y_eff[rows], h_real[rows], zeta[rows] = ws.y_eff, ws.h_real, ws.zeta_base
+        y_eff[rows], h_real[rows] = ws.y_eff, ws.h_real
         bits[rows], truth[rows] = decisions, b_true
         searched += [first + k for k in kept]
     if searched:
         k = len(searched)
-        ws = SlasWorkspace(y_eff=y_eff[:k], h_real=h_real[:k], zeta_base=zeta[:k])
+        ws = SlasWorkspace(y_eff=y_eff[:k], h_real=h_real[:k])
         final, block = run(ws, bits[:k], [c.rho for c in cells], p.n_f, b_true=truth[:k])
         _check_ascent(block, cells, searched)
         wrong = final != np.repeat(truth[:k], len(cells), axis=0)

@@ -83,7 +83,6 @@ def _traces(cases: list, fault: str | None) -> list[SlasTrace]:
         stacked = SlasWorkspace(
             y_eff=np.stack([cases[i][0].y_eff for i in index]),
             h_real=sign * np.stack([cases[i][0].h_real for i in index]),
-            zeta_base=np.stack([cases[i][0].zeta_base for i in index]),
         )
         b0 = np.stack([cases[i][1] for i in index])
         _, block = run(stacked, b0, [1.0], 64 * nt)
@@ -95,7 +94,7 @@ def _traces(cases: list, fault: str | None) -> list[SlasTrace]:
 def _check_instance(
     instance: int, ws, b0, trace: SlasTrace, results: dict[str, CheckCounts]
 ) -> None:
-    nt = ws.nt
+    nt, zeta = ws.nt, ws.zeta_base
     b = b0.copy()
     initial = previous = likelihood(ws, b)
     monotone_ok = gradient_ok = True
@@ -103,8 +102,7 @@ def _check_instance(
     for k, fired in enumerate(trace.flipped):
         j = k % nt
         g = gradient_full(ws, b)
-        zeta = ws.zeta_base[j]
-        gradient_ok &= fired == (g[j] > zeta if b[j] == -1.0 else g[j] < -zeta)
+        gradient_ok &= fired == (g[j] > zeta[j] if b[j] == -1.0 else g[j] < -zeta[j])
         if fired:
             b[j] = -b[j]
         current = likelihood(ws, b)

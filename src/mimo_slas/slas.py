@@ -18,7 +18,9 @@ Workspace quantities (real-valued reduction of the complex model):
 * ``y_eff   = 2 * Re(H^H y)``  (elementwise equal to ``H^H y + conj(H^H y)``),
 * ``H_eff   = H^H H`` (formed by :func:`precompute`, or passed to
   :func:`workspace` with ``H^H y``, and not kept),
-* ``H_real  = 2 * Re(H_eff)``,
+* ``H_real  = 2 * Re(H_eff)``, whose diagonal gives the thresholds
+  ``zeta`` (derived by :class:`SlasWorkspace`, which stores only ``y_eff``
+  and ``H_real``),
 * likelihood ``L(b) = b^T y_eff - b^T Re(H_eff) b``,
 * gradient   ``g(b) = y_eff - H_real b``.
 
@@ -73,15 +75,20 @@ __all__ = [
 @dataclass(frozen=True)
 class SlasWorkspace:
     """Receiver-side quantities shared by every step of a search.  A block of
-    trials stacks them along a leading trial axis."""
+    trials stacks them along a leading trial axis; the flip thresholds
+    ``zeta_base`` are derived from ``h_real``."""
 
     y_eff: np.ndarray    # (nt,) real, or (trials, nt)
     h_real: np.ndarray   # (nt, nt) real, symmetric, or (trials, nt, nt)
-    zeta_base: np.ndarray  # (nt,) real, |diag(h_real)|, or (trials, nt)
 
     @property
     def nt(self) -> int:
         return self.y_eff.shape[-1]
+
+    @property
+    def zeta_base(self) -> np.ndarray:
+        """``|diag(h_real)|``: (nt,) real, or (trials, nt)."""
+        return np.abs(np.diagonal(self.h_real, axis1=-2, axis2=-1))
 
 
 @dataclass
@@ -186,10 +193,7 @@ def workspace(
     products."""
     if counter is not None:
         counter.charge(multiplications=z.size + gram.size)  # scaling both real parts by 2
-    y_eff = 2.0 * z.real
-    h_real = 2.0 * gram.real
-    zeta_base = np.abs(np.diagonal(h_real, axis1=-2, axis2=-1))
-    return SlasWorkspace(y_eff=y_eff, h_real=h_real, zeta_base=zeta_base)
+    return SlasWorkspace(y_eff=2.0 * z.real, h_real=2.0 * gram.real)
 
 
 def likelihood(ws: SlasWorkspace, b: np.ndarray) -> float:

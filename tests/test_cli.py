@@ -388,6 +388,25 @@ class TestFlops:
             assert incremental["verdict"] == "DIVERGENT"
             assert "incremental" in incremental["notes"]
 
+    @pytest.mark.parametrize("detector,las,flops_rows", [
+        ("mf", "on", [("mf", ""), "precompute", ("las", "incremental")]),
+        ("zf", "off", [("zf", "")]),
+    ])
+    def test_ber_cost_is_the_sum_of_flops_rows(self, detector, las, flops_rows, capsys):
+        # both tables price trial 0 of the same seed key: its detection, then
+        # with the search on the workspace precompute and the search
+        _, out = _run(["ber-snr", "--nt", "4", "--nr", "4", "--snr-list", "10",
+                       "--detector", detector, "--las", las, "--rho", "1", "--steps", "4",
+                       "--trials", "10", "--seed", "3"], capsys)
+        (ber_row,) = _parse_csv(out)
+        _, out = _run(["flops", "--n-list", "4", "--steps-list", "4", "--seed", "3"], capsys)
+        by_kind = {(r["detector"], r["mode"]): r for r in _parse_csv(out)}
+        note = by_kind[("las", "incremental")]["notes"]
+        parts = {"precompute": int(re.search(r"precompute \(counted separately\)=(\d+)",
+                                             note).group(1))}
+        parts.update((key, int(row["flops_measured"])) for key, row in by_kind.items())
+        assert int(ber_row["flops_measured"]) == sum(parts[key] for key in flops_rows)
+
     # --benchmark and --reps fed a wall-clock timer that perfbench replaces
     @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--config", "f.json"],
                                       ["--benchmark"], ["--reps", "5"]])
@@ -583,6 +602,30 @@ def test_presets_cover_every_figure_family():
     assert set(PRESETS) == {f"fig{i}" for i in range(1, 10)}
     commands = {cmd for cmd, _ in PRESETS.values()}
     assert commands == {"ber-snr", "ber-antennas", "ber-rho", "trace", "flops"}
+
+
+# a value of every setting that differs from each preset's own
+_OTHER = {"nt": [3], "nr": 5, "snr_db": [7.0], "detector": "zf", "las_enabled": "off",
+          "rho": [0.5], "n_f": 3, "max_trials": 11, "min_bit_errors": 2, "master_seed": 9}
+
+
+@pytest.mark.parametrize("name", sorted(n for n, (cmd, _) in PRESETS.items() if cmd != "flops"))
+def test_preset_pins_its_grid_against_a_config(name, monkeypatch, tmp_path):
+    # a config sets only what a preset leaves free: the seed and, on a BER
+    # sweep, the stop rule
+    monkeypatch.delenv("MIMO_SLAS_SEED", raising=False)
+    command = PRESETS[name][0]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: _OTHER[key] for key in cli.DEFAULTS[command]}))
+    parser = cli.build_parser()
+
+    def resolve(*argv):
+        return cli._settings(parser.parse_args([command, "--preset", name, *argv]), parser)
+
+    own, configured = resolve(), resolve("--config", str(cfg))
+    free = ["master_seed"] + (["max_trials", "min_bit_errors"] if command != "trace" else [])
+    assert {key: configured.pop(key) for key in free} == {key: _OTHER[key] for key in free}
+    assert configured == {key: value for key, value in own.items() if key not in free}
 
 
 def test_console_script_is_byte_deterministic_across_jobs(package_env):

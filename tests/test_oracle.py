@@ -71,11 +71,7 @@ def test_tie_breaks_lexicographically_smallest():
 
 def test_guard_rejects_large_systems():
     nt = MAX_BRUTEFORCE_NT + 1
-    ws = SlasWorkspace(
-        y_eff=np.zeros(nt),
-        h_real=2 * np.eye(nt),
-        zeta_base=2 * np.ones(nt),
-    )
+    ws = SlasWorkspace(y_eff=np.zeros(nt), h_real=2 * np.eye(nt))
     with pytest.raises(ValueError):
         ml_bruteforce(ws)
 

@@ -300,7 +300,7 @@ def test_block_rows_equal_blocks_of_one(nt, with_truth):
     rhos = [0.0, 0.8, 1.0, 1.2]
     setups = [_random_setup(nt, nt, 300 + 7 * nt + t, snr_db=6.0) for t in range(7)]
     stacked = SlasWorkspace(*(np.stack([getattr(s[0], f) for s in setups])
-                              for f in ("y_eff", "h_real", "zeta_base")))
+                              for f in ("y_eff", "h_real")))
     truth = np.stack([s[2] for s in setups]) if with_truth else None
     block_counter, row_counter = FlopCounter(), FlopCounter()
     hd, block = run(stacked, np.stack([s[1] for s in setups]), rhos,

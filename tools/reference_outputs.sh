@@ -102,6 +102,12 @@ cli config-trace trace --config "$out/config-trace.json" --rho-list 0.8,1
     cli env-seed ber-snr --config "$out/config-ber-snr.json" --nt 8 --nr 8 \
         --snr-list 5 --detector zf --las both --trials 300 --min-errors 30
 )
+# a preset pins its grid: the config's antennas, SNR, detector and search
+# setting are all overridden, so this is fig1's 54 cells at 4x4
+printf '%s\n' '{"nt": 4, "nr": 4, "snr_db": [7], "detector": "mf",' \
+    ' "las_enabled": false}' >"$out/config-fig1.json"
+cli preset-fig1-config ber-snr --config "$out/config-fig1.json" --preset fig1 \
+    --nt 4 --nr 4 --trials 20
 cli preset-fig2 ber-antennas --preset fig2 --n-list 2,4 --snr 5 --detector mf \
     --steps 8 --trials 300 --min-errors 40 --seed 1
 cli preset-fig3 trace --preset fig3 --nt 8 --nr 8 --steps 16 --trials 20 --seed 1
