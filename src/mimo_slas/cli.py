@@ -218,8 +218,11 @@ def _settings(args, parser) -> dict:
         settings["nr"] = settings["nt"]
     if settings.get("detector") == "all":
         settings["detector"] = tuple(DetectorKind)
-    if isinstance(settings.get("las_enabled"), str):
-        settings["las_enabled"] = _LAS_AXIS[settings["las_enabled"]]
+    las = settings.get("las_enabled")
+    if isinstance(las, str):
+        if las not in _LAS_AXIS:
+            raise ValueError(f"las_enabled must be on, off, both or booleans, got {las!r}")
+        settings["las_enabled"] = _LAS_AXIS[las]
     return settings
 
 

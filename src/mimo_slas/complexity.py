@@ -23,9 +23,10 @@ conventions.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
-from .linalg import FlopCounter, gauss_invert_flops
+from .linalg import FlopCounter, gauss_invert_flops, mat_mul_flops, mat_vec_flops
 
 __all__ = [
     "CostKind",
@@ -77,13 +78,13 @@ def flops_closed_form(
 
 def _decomposition(kind: CostKind, nt: int, nr: int, n_f: int | None) -> str:
     if kind is CostKind.MF:
-        return f"matched_filter={8 * nt * nr - 2 * nt}"
+        return f"matched_filter={mat_vec_flops(nt, nr)}"
     if kind in (CostKind.ZF, CostKind.MMSE):
         parts = [
-            f"gram={8 * nt * nt * nr - 2 * nt * nt}",
+            f"gram={mat_mul_flops(nt, nt, nr)}",
             f"invert={gauss_invert_flops(nt)}",
-            f"filter_matrix={8 * nt * nt * nr - 2 * nt * nr}",
-            f"apply={8 * nt * nr - 2 * nt}",
+            f"filter_matrix={mat_mul_flops(nt, nr, nt)}",
+            f"apply={mat_vec_flops(nt, nr)}",
         ]
         if kind is CostKind.MMSE:
             parts.insert(2, f"regularize={4 * nt}")
@@ -109,13 +110,14 @@ def reconcile(
     """Compare an instrumented count against the closed-form model.
 
     Verdicts: EXACT iff measured == model; WITHIN_TOL iff the relative error
-    is <= 10%; DIVERGENT otherwise.  Notes always carry the term-by-term
+    is <= 10%; DIVERGENT otherwise.  A model of 0 gives a relative error of
+    inf against any other count.  Notes always carry the term-by-term
     decomposition so discrepancies are inspectable.
     """
     kind = CostKind(kind)
     model = flops_closed_form(kind, nt, nr, n_f)
     measured_total = measured.total if isinstance(measured, FlopCounter) else int(measured)
-    rel = abs(measured_total - model) / model if model else 0.0
+    rel = abs(measured_total - model) / model if model else (math.inf if measured_total else 0.0)
     if measured_total == model:
         verdict = "EXACT"
     elif rel <= 0.10:

@@ -78,9 +78,9 @@ def mmse(
 ) -> np.ndarray:
     """MMSE (G + (n0/es) I)^-1 (H^H y), charged as ((G + (n0/es) I)^-1 H^H) y.
 
-    Regularizing the Gram diagonal charges 2*nt multiplications (real scalar
-    times the complex identity diagonal) plus 2*nt additions (complex
-    diagonal add).  With n0 = 0 this degrades to ZF exactly.
+    Regularizing the Gram diagonal charges 4*nt flops: a real scalar times
+    the complex identity diagonal (2*nt) and the complex diagonal add (2*nt).
+    With n0 = 0 this degrades to ZF exactly.
     """
     return detect(DetectorKind.MMSE, h, y, snr, counter)
 
@@ -102,10 +102,8 @@ def detect(
     nr, nt = np.shape(h)
     soft = equalize(kind, mat_mul(hermitian_transpose(h), h, counter), z, snr, nr)
     if counter is not None:
-        form_adds, form_mults = mat_mul_flops(nt, nr, nt)
-        regularize = 2 * nt if kind == DetectorKind.MMSE else 0
-        counter.charge(additions=regularize + form_adds,
-                       multiplications=regularize + gauss_invert_flops(nt) + form_mults)
+        regularize = 4 * nt if kind == DetectorKind.MMSE else 0
+        counter.charge(regularize + gauss_invert_flops(nt) + mat_mul_flops(nt, nr, nt))
     return soft
 
 

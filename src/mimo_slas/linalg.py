@@ -5,16 +5,17 @@ Matrices are 2-D ``numpy.ndarray`` (complex128), vectors 1-D.
 stacks of them along leading axes: numpy's ``matmul`` then calls the same
 BLAS routine once per slice, so each slice of the result is bit for bit the
 product of that slice alone.  Every product charges a deterministic
-number of real floating-point operations (per slice) to an optional
-:class:`FlopCounter` under the convention
+number of real floating-point operations (per slice) to the one total of an
+optional :class:`FlopCounter` under the convention
 
 * one real addition or multiplication  = 1 flop,
 * one complex addition                 = 2 flops,
 * one complex multiplication           = 6 flops (4 mul + 2 add),
 * data movement (transpose, conjugation, real-part extraction) = 0 flops.
 
-A matrix product (m x p)(p x n) therefore charges ``6*m*n*p`` multiplication
-flops and ``2*m*n*(p-1)`` addition flops.  Matrix inversion is charged the
+A matrix product (m x p)(p x n) therefore charges ``8*m*n*p - 2*m*n`` flops:
+a complex multiplication per term and a complex addition per term but the
+first of each entry (:func:`mat_mul_flops`).  Matrix inversion is charged the
 textbook lump cost ``ceil(2/3 * n^3)`` (:func:`gauss_invert_flops`, which the
 detectors charge) so that instrumented totals line up with the closed-form
 detector cost models in :mod:`mimo_slas.complexity`.
@@ -82,24 +83,14 @@ class SingularMatrixError(ValueError):
 
 @dataclass
 class FlopCounter:
-    """Accumulator for real additions and multiplications; counts are
-    monotonically non-decreasing."""
+    """Running total of the real flops charged to it; it never decreases."""
 
-    real_additions: int = 0
-    real_multiplications: int = 0
+    total: int = 0
 
-    @property
-    def total(self) -> int:
-        return self.real_additions + self.real_multiplications
-
-    def charge(self, additions: int = 0, multiplications: int = 0) -> None:
-        if additions < 0 or multiplications < 0:
-            raise ValueError(
-                f"flop charges must be non-negative, got additions={additions} "
-                f"multiplications={multiplications}"
-            )
-        self.real_additions += additions
-        self.real_multiplications += multiplications
+    def charge(self, flops: int) -> None:
+        if flops < 0:
+            raise ValueError(f"flop charges must be non-negative, got {flops}")
+        self.total += flops
 
 
 def _as_matrix(a: np.ndarray, name: str, stacked: bool = False) -> np.ndarray:
@@ -121,14 +112,14 @@ def _slices(*leading: tuple[int, ...]) -> int:
     return math.prod(np.broadcast_shapes(*leading))
 
 
-def mat_mul_flops(m: int, n: int, p: int) -> tuple[int, int]:
-    """(additions, multiplications) charged for an (m x p)(p x n) product."""
-    return 2 * m * n * (p - 1), 6 * m * n * p
+def mat_mul_flops(m: int, n: int, p: int) -> int:
+    """Flops charged for an (m x p)(p x n) product: 6*m*n*p plus 2*m*n*(p-1)."""
+    return 8 * m * n * p - 2 * m * n
 
 
-def mat_vec_flops(m: int, p: int) -> tuple[int, int]:
-    """(additions, multiplications) charged for an (m x p) matrix-vector product."""
-    return 2 * m * (p - 1), 6 * m * p
+def mat_vec_flops(m: int, p: int) -> int:
+    """Flops charged for an (m x p) matrix-vector product."""
+    return mat_mul_flops(m, 1, p)
 
 
 def gauss_invert_flops(n: int) -> int:
@@ -143,32 +134,28 @@ def hermitian_transpose(a: np.ndarray) -> np.ndarray:
 
 
 def mat_mul(a: np.ndarray, b: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
-    """Complex matrix product, or stacked products, charging 6*m*n*p mults and
-    2*m*n*(p-1) adds per product."""
+    """Complex matrix product, or stacked products, charging
+    :func:`mat_mul_flops` per product."""
     a = _as_matrix(a, "a", stacked=True)
     b = _as_matrix(b, "b", stacked=True)
     (m, p), (q, n) = a.shape[-2:], b.shape[-2:]
     if p != q:
         raise DimensionMismatchError(f"cannot multiply {m}x{p} by {q}x{n}")
     if counter is not None:
-        adds, mults = mat_mul_flops(m, n, p)
-        stack = _slices(a.shape[:-2], b.shape[:-2])
-        counter.charge(additions=stack * adds, multiplications=stack * mults)
+        counter.charge(_slices(a.shape[:-2], b.shape[:-2]) * mat_mul_flops(m, n, p))
     return a @ b
 
 
 def mat_vec(a: np.ndarray, x: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
-    """Complex matrix-vector product, or stacked products, charging 6*m*p mults
-    and 2*m*(p-1) adds per product."""
+    """Complex matrix-vector product, or stacked products, charging
+    :func:`mat_vec_flops` per product."""
     a = _as_matrix(a, "a", stacked=True)
     x = _as_vectors(x, "x")
     (m, p), q = a.shape[-2:], x.shape[-1]
     if p != q:
         raise DimensionMismatchError(f"cannot apply {m}x{p} matrix to length-{q} vector")
     if counter is not None:
-        adds, mults = mat_vec_flops(m, p)
-        stack = _slices(a.shape[:-2], x.shape[:-1])
-        counter.charge(additions=stack * adds, multiplications=stack * mults)
+        counter.charge(_slices(a.shape[:-2], x.shape[:-1]) * mat_vec_flops(m, p))
     return a @ x if x.ndim == 1 else (a @ x[..., None])[..., 0]
 
 

@@ -279,6 +279,8 @@ def _encode_snr(snr_db: float) -> int:
         if snr_db > 0:
             return 1 << 40
         raise ValueError("snr_db = -inf is not a valid operating point")
+    if math.isinf(snr_db * 1000):
+        raise ValueError(f"snr_db = {snr_db!r} is too large for a milli-dB seed key")
     milli = round(snr_db * 1000)
     return (abs(milli) << 1) | (1 if milli < 0 else 0)
 

@@ -2,10 +2,8 @@
 
 Small-system ground truth for validating the sequential search: brute-force
 maximization of the same likelihood over all 2^nt BPSK vectors, and a literal
-"no single flip improves it" test.  The brute force walks the Gray code with
-the search's own incremental likelihood and gradient updates, and only the
-reported ``lambda_star`` is recomputed directly at the winner; the
-local-optimality test recomputes the likelihood of every candidate directly.
+"no single flip improves it" test.  Both evaluate the likelihood of every
+candidate directly, sharing no incremental update with the search.
 """
 
 from __future__ import annotations
@@ -20,6 +18,9 @@ __all__ = ["MlResult", "ml_bruteforce", "is_local_optimum", "MAX_BRUTEFORCE_NT"]
 
 MAX_BRUTEFORCE_NT = 20
 
+# Candidates evaluated at once by the brute force.
+_SLICE = 1 << 14
+
 
 @dataclass(frozen=True)
 class MlResult:
@@ -27,41 +28,33 @@ class MlResult:
     lambda_star: float
 
 
-def _lex_smaller(a: np.ndarray, b: np.ndarray) -> bool:
-    for x, y in zip(a, b):
-        if x != y:
-            return x < y
-    return False
+def _likelihoods(ws: SlasWorkspace, b: np.ndarray) -> np.ndarray:
+    """The likelihood of each row of ``b``, ``b y_eff - 1/2 sum((b H_real) * b)``."""
+    return b @ ws.y_eff - 0.5 * np.sum((b @ ws.h_real) * b, axis=1)
 
 
 def ml_bruteforce(ws: SlasWorkspace) -> MlResult:
     """Maximize the likelihood over all 2^nt BPSK vectors.
 
-    Gray-code enumeration with O(nt) incremental updates per candidate;
-    exact ties break toward the lexicographically smallest vector (-1 before
-    +1).  The reported ``lambda_star`` is recomputed directly at the winner.
+    The vectors are enumerated in lexicographic order (-1 before +1), in
+    slices of ``_SLICE``, and each is evaluated directly.  Exact ties break
+    toward the lexicographically smallest vector: a slice keeps its first
+    maximum, and a later slice wins only with a larger value.  The reported
+    ``lambda_star`` is :func:`~mimo_slas.slas.likelihood` at the winner.
     Guarded to nt <= 20.
     """
     nt = ws.nt
     if nt > MAX_BRUTEFORCE_NT:
-        raise ValueError(
-            f"brute-force search is limited to nt <= {MAX_BRUTEFORCE_NT}, got {nt}"
-        )
-    b = -np.ones(nt)
-    g = ws.y_eff - ws.h_real @ b
-    lam = 0.5 * float(b @ ws.y_eff + b @ g)
-    best_b = b.copy()
-    best_lam = lam
-    h_real = ws.h_real
-    for k in range(1, 2**nt):
-        j = (k & -k).bit_length() - 1  # Gray code: flip the lowest set bit of k
-        old = b[j]
-        lam += -2.0 * old * g[j] - 2.0 * h_real[j, j]
-        g += (2.0 * old) * h_real[j]
-        b[j] = -old
-        if lam > best_lam or (lam == best_lam and _lex_smaller(b, best_b)):
-            best_lam = lam
-            best_b = b.copy()
+        raise ValueError(f"brute-force search is limited to nt <= {MAX_BRUTEFORCE_NT}, got {nt}")
+    plus = 1 << np.arange(nt - 1, -1, -1)  # bit of the index that sets entry j to +1
+    best_b, best_lam = None, -np.inf
+    for start in range(0, 2**nt, _SLICE):
+        index = np.arange(start, min(start + _SLICE, 2**nt))
+        b = np.where(index[:, None] & plus, 1.0, -1.0)
+        lam = _likelihoods(ws, b)
+        i = int(np.argmax(lam))
+        if best_b is None or lam[i] > best_lam:
+            best_b, best_lam = b[i], lam[i]
     return MlResult(b_star=best_b, lambda_star=likelihood(ws, best_b))
 
 
@@ -72,10 +65,5 @@ def is_local_optimum(ws: SlasWorkspace, b: np.ndarray) -> bool:
     incremental identity with the search).
     """
     b = np.asarray(b, dtype=np.float64)
-    base = likelihood(ws, b)
-    for j in range(b.shape[0]):
-        candidate = b.copy()
-        candidate[j] = -candidate[j]
-        if likelihood(ws, candidate) > base + 1e-9:
-            return False
-    return True
+    flipped = b * (1.0 - 2.0 * np.eye(b.shape[0]))  # row j is b with bit j flipped
+    return bool(np.all(_likelihoods(ws, flipped) <= likelihood(ws, b) + 1e-9))

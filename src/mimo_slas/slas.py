@@ -192,7 +192,7 @@ def workspace(
     stacked workspaces of stacks of them; :func:`precompute` after its two
     products."""
     if counter is not None:
-        counter.charge(multiplications=z.size + gram.size)  # scaling both real parts by 2
+        counter.charge(z.size + gram.size)  # scaling both real parts by 2
     return SlasWorkspace(y_eff=2.0 * z.real, h_real=2.0 * gram.real)
 
 
@@ -256,10 +256,8 @@ def run(
                     else np.asarray(b_true, dtype=np.float64).reshape(y_eff.shape))
 
     if counter is not None:
-        rows, nt, flips = block.final_bits.shape[0], ws.nt, block.flips
-        counter.charge(additions=rows * nt * nt, multiplications=rows * nt * nt)  # initial gradients
-        counter.charge(multiplications=rows * nt)  # thresholds rho * zeta
-        counter.charge(additions=flips * nt, multiplications=flips * (nt + 1))
+        nt, rows = ws.nt, block.final_bits.shape[0]
+        counter.charge(rows * (2 * nt * nt + nt) + block.flips * (2 * nt + 1))
 
     if single:
         trace = block.row(0)

@@ -178,6 +178,17 @@ class TestBerCommands:
         assert all(r["las"] == "on" for r in rows)
         assert [r["rho"] for r in rows] == ["0.9", "1"]
 
+    # a finite snr beyond about 1.8e305 dB has no milli-dB seed key; it once
+    # died with an OverflowError (exit 1)
+    @pytest.mark.parametrize("command", ["ber-snr", "trace"])
+    def test_snr_without_a_seed_key_exits_2(self, command, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main([command, "--nt", "2", "--nr", "2", "--snr-list", "1e306", "--trials", "3"])
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "snr_db = 1e+306 is too large for a milli-dB seed key" in captured.err
+        assert captured.out == ""
+
 
 class TestSeedPrecedence:
     ARGV = ["ber-snr", "--nt", "4", "--nr", "4", "--snr-list", "0",
@@ -275,6 +286,7 @@ class TestConfigFile:
         ("master_seed", 2.5, "master_seed must be an integer, got 2.5"),
         ("rho", [True], "rho entries must be real numbers (not NaN), got True"),
         ("snr_db", [], "snr_db must have at least one value"),
+        ("las_enabled", "maybe", "las_enabled must be on, off, both or booleans, got 'maybe'"),
     ])
     def test_config_value_of_wrong_type_exits_2(self, key, value, message, capsys, tmp_path):
         config = {"nt": 4, "nr": 4, "snr_db": 0, "detector": "mf", "las_enabled": True,

@@ -1,6 +1,8 @@
 """Cost-model tests: frozen closed-form values, reconciliation verdicts,
 and end-to-end agreement with instrumented detector runs."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -100,11 +102,20 @@ def test_search_incremental_mode_reports_divergence_with_note():
 def test_reconcile_accepts_raw_integers_and_counters():
     model = flops_closed_form(CostKind.MF, 8, 8)
     counter = FlopCounter()
-    counter.charge(multiplications=model)
+    counter.charge(model)
     assert reconcile(CostKind.MF, 8, 8, counter).verdict == "EXACT"
     assert reconcile(CostKind.MF, 8, 8, model).verdict == "EXACT"
     assert reconcile(CostKind.MF, 8, 8, int(model * 1.05)).verdict == "WITHIN_TOL"
     assert reconcile(CostKind.MF, 8, 8, int(model * 1.5)).verdict == "DIVERGENT"
+
+
+def test_zero_model_reads_inf_unless_the_count_is_zero():
+    # the search model is 0 at n_f = 0, while the search still forms its start
+    report = reconcile(CostKind.LAS, 2, 2, 10, n_f=0)
+    assert (report.model_flops, report.relative_error, report.verdict) == (0, math.inf,
+                                                                           "DIVERGENT")
+    report = reconcile(CostKind.LAS, 2, 2, 0, n_f=0)
+    assert (report.relative_error, report.verdict) == (0.0, "EXACT")
 
 
 def test_extra_note_is_appended():

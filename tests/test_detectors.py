@@ -236,9 +236,9 @@ def test_zf_and_mmse_charge_the_explicit_filter(nt, nr):
         hh = hermitian_transpose(h)
         gram = mat_mul(hh, h, model)
         if kind is DetectorKind.MMSE:
-            model.charge(additions=2 * nt, multiplications=2 * nt)
+            model.charge(4 * nt)
             gram = gram + (snr.n0 / snr.es) * np.eye(nt)
-        model.charge(multiplications=gauss_invert_flops(nt))
+        model.charge(gauss_invert_flops(nt))
         mat_vec(mat_mul(gauss_invert(gram), hh, model), y, model)
         assert counter == model, kind
 

@@ -85,6 +85,15 @@ class TestTrialRng:
         with pytest.raises(ValueError):
             trial_rng(0, 4, 4, -np.inf, 0)
 
+    @pytest.mark.parametrize("snr_db", [1e306, -1e306, 1.7976931348623157e308])
+    def test_snr_without_a_milli_db_key_is_rejected(self, snr_db):
+        message = f"snr_db = {snr_db!r} is too large for a milli-dB seed key"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            trial_rng(0, 4, 4, snr_db, 0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig(nt=4, nr=4, snr_db=snr_db)
+        trial_rng(0, 4, 4, -1.7e305, 0).standard_normal(1)  # its key still exists
+
     def test_snr_values_sharing_a_key_are_rejected(self):
         with pytest.raises(ValueError, match="share one seed key"):
             check_snr_keys([10.0, 10.0004])

@@ -1,8 +1,9 @@
 """Brute-force reference tests.
 
-The Gray-code enumerator is itself checked against an even dumber oracle:
-itertools.product over all sign vectors with the likelihood evaluated from
-scratch each time.
+The sliced enumerator is itself checked against an even dumber oracle:
+itertools.product over all sign vectors with the likelihood evaluated one
+vector at a time, also with slices small enough that the enumeration spans
+several of them.
 """
 
 import itertools
@@ -10,6 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
+from mimo_slas import oracle
 from mimo_slas.channel import sample_bpsk, sample_channel
 from mimo_slas.detectors import mf, slice_bpsk
 from mimo_slas.oracle import MAX_BRUTEFORCE_NT, is_local_optimum, ml_bruteforce
@@ -45,6 +47,18 @@ def test_matches_naive_enumeration(seed):
     np.testing.assert_array_equal(result.b_star, naive_b)
 
 
+@pytest.mark.parametrize("slice_size", [4, 5])
+@pytest.mark.parametrize("seed", range(3))
+def test_matches_naive_enumeration_across_slices(seed, slice_size, monkeypatch):
+    # 2^6 vectors: 16 slices of 4, or 13 of 5 with a short last one
+    monkeypatch.setattr(oracle, "_SLICE", slice_size)
+    ws, _, _ = _setup(6, 6, seed)
+    result = ml_bruteforce(ws)
+    naive_b, naive_lam = _naive_argmax(ws)
+    assert result.lambda_star == pytest.approx(naive_lam, rel=1e-9)
+    np.testing.assert_array_equal(result.b_star, naive_b)
+
+
 def test_recovers_payload_at_high_snr():
     ws, b_true, _ = _setup(8, 12, 42, snr_db=30.0)
     result = ml_bruteforce(ws)
@@ -69,6 +83,18 @@ def test_tie_breaks_lexicographically_smallest():
     assert result.b_star[0] == -1.0
 
 
+def test_tie_across_slices_goes_to_the_first(monkeypatch):
+    # y = 0 again, and negative couplings make the all -1 vector (index 0, in
+    # the first slice) and the all +1 vector (index 15, in the last) the
+    # tied maximizers of 2^4 vectors in slices of 4
+    monkeypatch.setattr(oracle, "_SLICE", 4)
+    nt = 4
+    ws = SlasWorkspace(y_eff=np.zeros(nt), h_real=2.4 * np.eye(nt) - 0.4 * np.ones((nt, nt)))
+    result = ml_bruteforce(ws)
+    np.testing.assert_array_equal(result.b_star, -np.ones(nt))
+    assert likelihood(ws, np.ones(nt)) == result.lambda_star
+
+
 def test_guard_rejects_large_systems():
     nt = MAX_BRUTEFORCE_NT + 1
     ws = SlasWorkspace(y_eff=np.zeros(nt), h_real=2 * np.eye(nt))
@@ -88,6 +114,21 @@ class TestIsLocalOptimum:
         ws = precompute(np.array([[1.0 + 0j]]), np.array([1.0 + 0j]))
         assert not is_local_optimum(ws, np.array([-1.0]))
         assert is_local_optimum(ws, np.array([1.0]))
+
+    def test_agrees_with_flipping_one_bit_at_a_time(self):
+        ws, _, _ = _setup(6, 6, 400)
+        verdicts = set()
+        for signs in itertools.product((-1.0, 1.0), repeat=6):
+            b = np.array(signs)
+            base = likelihood(ws, b)
+            expected = True
+            for j in range(6):
+                candidate = b.copy()
+                candidate[j] = -candidate[j]
+                expected &= likelihood(ws, candidate) <= base + 1e-9
+            assert is_local_optimum(ws, b) == expected, signs
+            verdicts.add(expected)
+        assert verdicts == {True, False}
 
     def test_converged_search_lands_on_local_optimum(self):
         converged_seen = 0

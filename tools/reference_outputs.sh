@@ -43,6 +43,9 @@ cli ber-rho-16 ber-rho --n-list 16 --snr-list 10 --rho-list 0.8,0.9,1.0 \
 cli trace-32-mmse trace --nt 32 --nr 32 --snr-list 10 --rho-list 0.9,1.0 \
     --steps 96 --trials 200 --detector mmse
 cli flops flops --n-list 1,2,4,8,16,32,64,128 --steps-list 4,128 --seed 0
+# with no search steps the search model is 0 while the count is not: the
+# n_f = 0 row's relative error is inf and its verdict DIVERGENT
+cli flops-steps0 flops --n-list 2 --steps-list 0,4 --seed 0
 cli ber-snr-zf-singular ber-snr --nt 4 --nr 2 --detector zf --snr-list 0,10 \
     --las both --trials 200 --seed 0
 # MMSE on the same rank-deficient 4x2 channels.  At 60 dB the regularization
