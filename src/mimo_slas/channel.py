@@ -38,7 +38,12 @@ class SnrSpec:
 
     @property
     def n0(self) -> float:
-        return self.es * 10.0 ** (-self.snr_db / 10.0)
+        """The noise power; a ValueError below about -3082 dB, where it
+        exceeds every float."""
+        try:
+            return self.es * 10.0 ** (-self.snr_db / 10.0)
+        except OverflowError:
+            raise ValueError(f"snr_db = {self.snr_db!r} has no finite noise power") from None
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,8 @@ from .channel import SnrSpec
 from .complexity import CostKind, flops_closed_form, reconcile
 from .detectors import DetectorKind, detect, slice_bpsk
 from .linalg import FlopCounter, SingularMatrixError
-from .montecarlo import ExperimentConfig, check_distinct, draw, run_sweep, run_trace
+from .montecarlo import (MAX_GRID_POINTS, ExperimentConfig, check_distinct, draw, run_sweep,
+                         run_trace)
 from .selfcheck import run_selfcheck
 from .slas import precompute, run
 
@@ -118,7 +119,9 @@ def _parse_number_list(text: str, kind):
     numbers.
 
     With ``kind=int`` every value must be integral; 1.7 is rejected, not
-    truncated.  A range's bounds and step must be finite.
+    truncated.  A range's bounds and step must be finite, and a range of more
+    than ``MAX_GRID_POINTS`` values, longer than any grid's axis, is
+    rejected before it is expanded.
     """
     text = text.strip()
     if ":" in text:
@@ -136,6 +139,8 @@ def _parse_number_list(text: str, kind):
             v = round(start + k * step, 10)
             if v > stop + 1e-9:
                 break
+            if len(values) == MAX_GRID_POINTS:
+                raise ValueError(f"range {text!r} has more than {MAX_GRID_POINTS} values")
             values.append(v)
             k += 1
     else:
@@ -224,6 +229,20 @@ def _settings(args, parser) -> dict:
             raise ValueError(f"las_enabled must be on, off, both or booleans, got {las!r}")
         settings["las_enabled"] = _LAS_AXIS[las]
     return settings
+
+
+def _check_out(path: str) -> None:
+    """Refuse an ``--out`` path that cannot be written, before any trial runs."""
+    directory = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        problem = "it is a directory"
+    elif not os.path.isdir(directory):
+        problem = f"directory {directory!r} does not exist"
+    elif not os.access(path if os.path.exists(path) else directory, os.W_OK):
+        problem = "permission denied"
+    else:
+        return
+    raise ValueError(f"cannot write --out {path!r}: {problem}")
 
 
 def _write_rows(args, rows) -> None:
@@ -352,6 +371,8 @@ def cmd_flops(args, parser) -> int:
     for name in ("nt", "n_f"):
         check_distinct(name, settings[name])
     seed = settings["master_seed"]
+    if seed < 0:
+        raise ValueError(f"master_seed must be >= 0, got {seed}")
     rows = []
     for n in settings["nt"]:
         for kind in (CostKind.MF, CostKind.ZF, CostKind.MMSE):
@@ -455,6 +476,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_negative_lists(sys.argv[1:] if argv is None else argv))
     try:
+        if getattr(args, "out", None):
+            _check_out(args.out)
         return args.func(args, parser)
     except (ValueError, OSError) as exc:
         parser.exit(2, f"mimo-slas: error: {exc}\n")

@@ -274,24 +274,30 @@ class ExperimentConfig:
 
 
 def _encode_snr(snr_db: float) -> int:
-    """Non-negative integer key for an snr value (milli-dB, sign folded in)."""
+    """Non-negative integer key for an snr value (milli-dB, sign folded in).
+
+    A finite value needs a milli-dB magnitude below 2**39, so that its key
+    stays below the noiseless key ``1 << 40``, and a finite noise power."""
     if math.isinf(snr_db):
         if snr_db > 0:
             return 1 << 40
         raise ValueError("snr_db = -inf is not a valid operating point")
-    if math.isinf(snr_db * 1000):
+    if not abs(snr_db * 1000) < 2**39 - 0.5:  # what rounds to 2**39 is too large
         raise ValueError(f"snr_db = {snr_db!r} is too large for a milli-dB seed key")
+    SnrSpec(snr_db).n0  # raises where the noise power overflows
     milli = round(snr_db * 1000)
     return (abs(milli) << 1) | (1 if milli < 0 else 0)
 
 
 def check_distinct(name: str, axis) -> None:
     """Reject a value that ``axis`` holds more than once: its cells would run
-    again and write their rows twice."""
-    repeated = next((v for i, v in enumerate(axis) if v in axis[:i]), None)
-    if repeated is not None:
-        shown = repeated.value if isinstance(repeated, DetectorKind) else repeated
-        raise ValueError(f"{name} has the value {shown!r} more than once")
+    again and write their rows twice.  The values must be hashable."""
+    seen = set()
+    for v in axis:
+        if v in seen:
+            shown = v.value if isinstance(v, DetectorKind) else v
+            raise ValueError(f"{name} has the value {shown!r} more than once")
+        seen.add(v)
 
 
 def check_snr_keys(snr_list) -> None:
@@ -567,24 +573,20 @@ def _block(cells: tuple[PointSpec, ...], start: int, stop: int) -> dict:
 
 
 def _check_ascent(block: SlasBlock, cells: tuple[PointSpec, ...], trials: list[int]) -> None:
-    """At rho >= 1 no flip may lower a row's likelihood; raise naming the
-    first (in trial, then cell order) that does."""
+    """At rho >= 1 no flip may lower a row's likelihood: raise naming the
+    first record (in trial, then cell order) whose gain is below -1e-9."""
     ascent = np.array([c.rho >= 1.0 for c in cells])
     if not ascent.any():
         return
     rows = block.flip_row
-    lam = block.flip_likelihood
-    before = np.concatenate(([0.0], lam[:-1]))
-    opens = block.offsets[rows] == np.arange(rows.size)  # a row's first flip
-    before[opens] = block.initial_likelihood[rows[opens]]
-    dips = np.flatnonzero((lam - before < -1e-9) & ascent[rows % len(cells)])
+    dips = np.flatnonzero((block.flip_gain < -1e-9) & ascent[rows % len(cells)])
     if dips.size:
         q = dips[0]
         cell, index = cells[rows[q] % len(cells)], trials[rows[q] // len(cells)]
         raise AssertionError(
             f"likelihood decreased at rho={cell.rho} "
             f"(seed={cell.master_seed}, trial={index}, step {block.flip_step[q]}): "
-            f"{before[q]} -> {lam[q]}"
+            f"the flip gained {block.flip_gain[q]}"
         )
 
 

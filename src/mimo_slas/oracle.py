@@ -3,7 +3,8 @@
 Small-system ground truth for validating the sequential search: brute-force
 maximization of the same likelihood over all 2^nt BPSK vectors, and a literal
 "no single flip improves it" test.  Both evaluate the likelihood of every
-candidate directly, sharing no incremental update with the search.
+candidate directly, with :func:`~mimo_slas.slas.likelihood` over a stack of
+candidates, sharing no incremental update with the search.
 """
 
 from __future__ import annotations
@@ -28,11 +29,6 @@ class MlResult:
     lambda_star: float
 
 
-def _likelihoods(ws: SlasWorkspace, b: np.ndarray) -> np.ndarray:
-    """The likelihood of each row of ``b``, ``b y_eff - 1/2 sum((b H_real) * b)``."""
-    return b @ ws.y_eff - 0.5 * np.sum((b @ ws.h_real) * b, axis=1)
-
-
 def ml_bruteforce(ws: SlasWorkspace) -> MlResult:
     """Maximize the likelihood over all 2^nt BPSK vectors.
 
@@ -51,7 +47,7 @@ def ml_bruteforce(ws: SlasWorkspace) -> MlResult:
     for start in range(0, 2**nt, _SLICE):
         index = np.arange(start, min(start + _SLICE, 2**nt))
         b = np.where(index[:, None] & plus, 1.0, -1.0)
-        lam = _likelihoods(ws, b)
+        lam = likelihood(ws, b)
         i = int(np.argmax(lam))
         if best_b is None or lam[i] > best_lam:
             best_b, best_lam = b[i], lam[i]
@@ -66,4 +62,4 @@ def is_local_optimum(ws: SlasWorkspace, b: np.ndarray) -> bool:
     """
     b = np.asarray(b, dtype=np.float64)
     flipped = b * (1.0 - 2.0 * np.eye(b.shape[0]))  # row j is b with bit j flipped
-    return bool(np.all(_likelihoods(ws, flipped) <= likelihood(ws, b) + 1e-9))
+    return bool(np.all(likelihood(ws, flipped) <= likelihood(ws, b) + 1e-9))

@@ -139,6 +139,8 @@ def run_selfcheck(
     """Run the suite; returns 0 when every check passes on every instance."""
     if instances < 1:
         raise ValueError(f"instances must be >= 1, got {instances}")
+    if seed < 0:
+        raise ValueError(f"master_seed must be >= 0, got {seed}")
     if inject_fault not in (None, "grad-sign"):
         raise ValueError(f"unknown fault: {inject_fault!r}")
     results = {name: CheckCounts() for name in CHECK_NAMES}

@@ -24,19 +24,20 @@ Workspace quantities (real-valued reduction of the complex model):
 * likelihood ``L(b) = b^T y_eff - b^T Re(H_eff) b``,
 * gradient   ``g(b) = y_eff - H_real b``.
 
-On an accepted flip of bit j the likelihood changes by exactly
+On an accepted flip of bit j the likelihood gains exactly
 ``-2*b_j*g_j - 2*(H_real)_jj`` (pre-flip values), which equals
 ``2*(|g_j| - zeta_j)`` whenever the flip rule fired; the gradient update is
 the rank-one correction ``g += 2*b_j*(H_real column j)`` using the pre-flip
-bit.  :func:`run` is the only implementation of the rule and of both
-incremental updates; the standalone ``likelihood``/``gradient_full``
-recomputations exist so that tests and :mod:`mimo_slas.selfcheck` can replay
-its trace step by step against direct evaluation.
+bit.  A flip is recorded by its gain and by whether the new bit is wrong; a
+row's likelihood and bit errors are running sums of those records.
+:func:`run` is the only implementation of the rule and of both incremental
+updates; the standalone ``likelihood``/``gradient_full`` evaluate states
+directly, for tests, :mod:`mimo_slas.selfcheck` and :mod:`mimo_slas.oracle`.
 
 :func:`run` searches a block of rows at once: T trials stacked along a
 leading axis of the workspace, each searched at R values of rho.  Every
-row's bits, gradient and likelihood go through the same IEEE operations, in
-the same order, as a search run alone, so a row's record is byte for byte
+row's bits, gradient and gains go through the same IEEE operations, in the
+same order, as a search run alone, so a row's record is byte for byte
 that of a block of one row, which is what a single search is.  The block
 skips the steps on which no row can flip (see :func:`_search`) and records
 only flips; :class:`SlasBlock` expands a row into its per-step
@@ -120,11 +121,12 @@ class SlasBlock:
     the c-th of R rho values.
 
     Only flips are recorded.  Record q is a flip of row ``flip_row[q]`` at
-    step ``flip_step[q]``, after which the row's likelihood is
-    ``flip_likelihood[q]`` and its bit errors ``flip_bit_errors[q]`` (None
-    without a true payload); row i's records are ``offsets[i]:offsets[i+1]``,
-    in step order.  ``flips`` and ``steps_run`` are totals over the rows.
-    :meth:`row` expands one row into its :class:`SlasTrace`.
+    step ``flip_step[q]`` that adds ``flip_gain[q]`` to the row's likelihood
+    and leaves the new bit wrong if ``flip_wrong[q]`` (None without a true
+    payload); row i's records are ``offsets[i]:offsets[i+1]``, in step
+    order.  ``flips`` and ``steps_run`` are totals over the rows.
+    :meth:`row` expands one row into its :class:`SlasTrace`, whose paths are
+    running sums of the records from the row's initial values.
     """
 
     n_f: int
@@ -134,8 +136,8 @@ class SlasBlock:
     initial_bit_errors: np.ndarray | None  # (rows,)
     flip_row: np.ndarray
     flip_step: np.ndarray
-    flip_likelihood: np.ndarray
-    flip_bit_errors: np.ndarray | None
+    flip_gain: np.ndarray
+    flip_wrong: np.ndarray | None
     offsets: np.ndarray             # (rows + 1,)
 
     @property
@@ -154,11 +156,13 @@ class SlasBlock:
         flipped = np.zeros(n_f, dtype=bool)
         flipped[steps] = True
         done = flipped.cumsum()  # flips up to and including each step
-        lams = np.concatenate(([self.initial_likelihood[i]], self.flip_likelihood[first:last]))
+        gains = self.flip_gain[first:last]  # cumsum adds left to right, as the loop would
+        lams = np.cumsum(np.concatenate(([self.initial_likelihood[i]], gains)))
         errs = None
         if self.initial_bit_errors is not None:
-            errs = np.concatenate(([self.initial_bit_errors[i]],
-                                   self.flip_bit_errors[first:last])).astype(np.int32)[done]
+            changes = np.where(self.flip_wrong[first:last], 1, -1)  # a wrong new bit adds one
+            errs = np.cumsum(np.concatenate(([self.initial_bit_errors[i]], changes)))
+            errs = errs.astype(np.int32)[done]
         flips = int(last - first)
         silent = n_f - int(steps[-1]) - 1 if flips else n_f  # steps since the last flip
         return SlasTrace(
@@ -196,10 +200,13 @@ def workspace(
     return SlasWorkspace(y_eff=2.0 * z.real, h_real=2.0 * gram.real)
 
 
-def likelihood(ws: SlasWorkspace, b: np.ndarray) -> float:
-    """L(b) = b^T y_eff - b^T Re(H_eff) b, evaluated directly."""
+def likelihood(ws: SlasWorkspace, b: np.ndarray) -> float | np.ndarray:
+    """L(b) = b^T y_eff - b^T Re(H_eff) b, evaluated directly over the last
+    axis as ``b y_eff - 1/2 sum((b H_real) * b)``: a float for one vector,
+    an array of one value per row for a stack of them."""
     b = np.asarray(b, dtype=np.float64)
-    return float(b @ ws.y_eff - 0.5 * (b @ (ws.h_real @ b)))
+    lam = b @ ws.y_eff - 0.5 * np.sum((b @ ws.h_real) * b, axis=-1)
+    return float(lam) if lam.ndim == 0 else lam
 
 
 def gradient_full(ws: SlasWorkspace, b: np.ndarray) -> np.ndarray:
@@ -286,9 +293,10 @@ def _search(y_eff, h_real, zeta, bits, rhos, n_f, truth) -> SlasBlock:
 
     * the test ``g_j > rho * zeta_j`` for b_j = -1, ``g_j < -rho * zeta_j``
       for b_j = +1, here as ``b_j * g_j < -(rho * zeta_j)``;
-    * ``lam += (-2 * b_j) * g_j - 2 * (H_real)_jj``, here as
-      ``lam -= (2 * b_j) * g_j + 2 * (H_real)_jj``, the same roundings
-      negated (round to nearest is symmetric);
+    * the gain ``(-2 * b_j) * g_j - 2 * (H_real)_jj``, here as
+      ``-((2 * b_j) * g_j + 2 * (H_real)_jj)``, the same roundings negated
+      (round to nearest is symmetric), recorded; :meth:`SlasBlock.row`
+      adds it to the likelihood as the loop's ``lam += gain``;
     * ``g += (2 * b_j) * (H_real row j)``, with the pre-flip bit.
     """
     trials, nt = y_eff.shape
@@ -314,9 +322,9 @@ def _search(y_eff, h_real, zeta, bits, rhos, n_f, truth) -> SlasBlock:
     after = _visits_after(nt)
     live = np.arange(n_rows) if n_f else np.arange(0)
     base, step, last = trial_of * nt, np.full(n_rows, -1), np.full(n_rows, nt - 1)
-    b_, g_, lam_, below_ = b.copy(), g.copy(), initial_lam.copy(), below
+    b_, g_, below_ = b.copy(), g.copy(), below
     first = live * nt
-    records = []  # per round: (rows, steps, pre-flip bits, likelihoods after the flip)
+    records = []  # per round: (rows, steps, pre-flip bits, likelihood gains)
     while live.size:
         wait = np.where(b_ * g_ < below_, after.take(last, axis=0), n_f + 1)
         j = wait.argmin(axis=1)
@@ -325,8 +333,8 @@ def _search(y_eff, h_real, zeta, bits, rhos, n_f, truth) -> SlasBlock:
         if not going.all():
             stay, gone = np.flatnonzero(going), ~going
             b[live[gone]], g[live[gone]] = b_[gone], g_[gone]
-            live, base, step, j, b_, g_, lam_, below_ = (
-                x[stay] for x in (live, base, step, j, b_, g_, lam_, below_))
+            live, base, step, j, b_, g_, below_ = (
+                x[stay] for x in (live, base, step, j, b_, g_, below_))
             first = np.arange(0, live.size * nt, nt)
             if not live.size:
                 break
@@ -334,30 +342,26 @@ def _search(y_eff, h_real, zeta, bits, rhos, n_f, truth) -> SlasBlock:
         row = base + j
         bj = b_.take(at)
         twice_bj = 2.0 * bj
-        lam_ -= twice_bj * g_.take(at) + diag2.take(row)
+        gain = -(twice_bj * g_.take(at) + diag2.take(row))
         g_ += twice_bj[:, None] * h_rows.take(row, axis=0)
         np.put(b_, at, -bj)
         last = j
-        records.append((live, step, bj, lam_.copy()))
+        records.append((live, step, bj, gain))
 
     if records:
-        flip_row, flip_step, flip_bit, flip_lam = map(np.concatenate, zip(*records))
+        flip_row, flip_step, flip_bit, flip_gain = map(np.concatenate, zip(*records))
         order = np.argsort(flip_row, kind="stable")  # rounds are in step order within a row
-        flip_row, flip_step, flip_bit, flip_lam = (
-            x[order] for x in (flip_row, flip_step, flip_bit, flip_lam))
+        flip_row, flip_step, flip_bit, flip_gain = (
+            x[order] for x in (flip_row, flip_step, flip_bit, flip_gain))
     else:
         flip_row = flip_step = np.zeros(0, dtype=np.int64)
-        flip_bit = flip_lam = np.zeros(0)
+        flip_bit = flip_gain = np.zeros(0)
     offsets = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(flip_row, minlength=n_rows), out=offsets[1:])
-    initial_err = flip_err = None
+    initial_err = wrong = None
     if truth is not None:
         initial_err = np.count_nonzero(bits != truth, axis=1)[trial_of]
-        # each flip changes the row's error count by one: up when the new bit is wrong
         wrong = -flip_bit != truth[trial_of[flip_row], flip_step % nt]
-        change = np.cumsum(np.where(wrong, 1, -1))
-        before = np.concatenate(([0], change))[offsets[:-1]]  # changes before each row
-        flip_err = initial_err[flip_row] + change - before[flip_row]
     return SlasBlock(
         n_f=n_f,
         final_bits=b,
@@ -366,7 +370,7 @@ def _search(y_eff, h_real, zeta, bits, rhos, n_f, truth) -> SlasBlock:
         initial_bit_errors=initial_err,
         flip_row=flip_row,
         flip_step=flip_step,
-        flip_likelihood=flip_lam,
-        flip_bit_errors=flip_err,
+        flip_gain=flip_gain,
+        flip_wrong=wrong,
         offsets=offsets,
     )

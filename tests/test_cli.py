@@ -74,6 +74,12 @@ class TestNumberLists:
         with pytest.raises(ValueError, match="range bounds and step must be finite"):
             _parse_number_list(text, float)
 
+    def test_range_longer_than_any_axis_is_rejected_unexpanded(self):
+        assert len(_parse_number_list("1:1:10000", int)) == cli.MAX_GRID_POINTS
+        for text in ("0:1:10000", "0:1e-9:1"):  # 10,001 and a billion values
+            with pytest.raises(ValueError, match=f"range '{text}' has more than 10000 values"):
+                _parse_number_list(text, float)
+
     @pytest.mark.parametrize("text", ["", " ", ",", "10:5:0"])
     def test_empty_lists_are_rejected(self, text):
         with pytest.raises(ValueError, match="expected at least one value"):
@@ -188,6 +194,42 @@ class TestBerCommands:
         captured = capsys.readouterr()
         assert "snr_db = 1e+306 is too large for a milli-dB seed key" in captured.err
         assert captured.out == ""
+
+    # below about -3082 dB the noise power overflows a float: it once died with
+    # an OverflowError (exit 1); 549755813.888 dB once took the noiseless key
+    @pytest.mark.parametrize("command", ["ber-snr", "trace"])
+    @pytest.mark.parametrize("snr,message", [
+        ("-4000", "snr_db = -4000.0 has no finite noise power"),
+        ("549755813.888", "snr_db = 549755813.888 is too large for a milli-dB seed key"),
+    ], ids=["no-noise-power", "no-seed-key"])
+    def test_snr_outside_the_range_exits_2(self, command, snr, message, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main([command, "--nt", "2", "--nr", "2", f"--snr-list={snr}", "--trials", "2",
+                  "--detector", "mf"])
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+    # a path that cannot be written once failed only after the whole sweep
+    @pytest.mark.parametrize("command", ["ber-snr", "trace", "flops"])
+    @pytest.mark.parametrize("target,message", [
+        ("missing/x.csv", "directory '{tmp}/missing' does not exist"),
+        (".", "it is a directory"),
+    ], ids=["missing-directory", "directory"])
+    def test_unwritable_out_exits_2_before_any_trial(self, command, target, message,
+                                                     tmp_path, monkeypatch, capsys):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        for name in ("run_sweep", "run_trace", "draw"):
+            monkeypatch.setattr(cli, name, no_run)
+        path = os.path.normpath(tmp_path / target)
+        with pytest.raises(SystemExit) as exc_info:
+            main([command, "--out", path])
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"cannot write --out {path!r}: " + message.format(tmp=tmp_path) in err
 
 
 class TestSeedPrecedence:
@@ -448,7 +490,7 @@ class TestFlops:
         with pytest.raises(SystemExit) as exc_info:
             main(["flops", "--n-list", "2", "--steps-list", "2", *seed])
         assert exc_info.value.code == 2
-        assert "expected non-negative integer" in capsys.readouterr().err
+        assert "master_seed must be >= 0, got -1" in capsys.readouterr().err
 
 
 class TestSelfcheck:
@@ -456,6 +498,18 @@ class TestSelfcheck:
         code, out = _run(["selfcheck", "--instances", "12", "--seed", "0"], capsys)
         assert code == 0
         assert "PASS" in out
+
+    @pytest.mark.parametrize("env", [False, True])
+    def test_negative_seed_exits_2(self, env, capsys, monkeypatch):
+        # numpy's bare "expected non-negative integer" once stood for the reason
+        seed = ["--seed", "-1"]
+        if env:
+            monkeypatch.setenv("MIMO_SLAS_SEED", "-1")
+            seed = []
+        with pytest.raises(SystemExit) as exc_info:
+            main(["selfcheck", "--instances", "3", *seed])
+        assert exc_info.value.code == 2
+        assert "master_seed must be >= 0, got -1" in capsys.readouterr().err
 
     def test_injected_fault_is_caught(self, capsys):
         code, out = _run(

@@ -92,7 +92,31 @@ class TestTrialRng:
             trial_rng(0, 4, 4, snr_db, 0)
         with pytest.raises(ValueError, match=re.escape(message)):
             ExperimentConfig(nt=4, nr=4, snr_db=snr_db)
-        trial_rng(0, 4, 4, -1.7e305, 0).standard_normal(1)  # its key still exists
+        trial_rng(0, 4, 4, 549755813.887, 0).standard_normal(1)  # its key still exists
+
+    def test_finite_snr_keys_stay_below_the_noiseless_key(self):
+        # 549755813.888 dB is 2**39 milli-dB, whose key was inf's, 1 << 40
+        for snr_db in (549755813.888, -549755813.888):
+            message = f"snr_db = {snr_db!r} is too large for a milli-dB seed key"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                trial_rng(0, 4, 4, snr_db, 0)
+        with pytest.raises(ValueError, match=re.escape("snr_db = 549755813.888 is too large")):
+            ExperimentConfig(nt=4, nr=4, snr_db=[549755813.888, math.inf])
+        assert montecarlo._encode_snr(549755813.887) == (1 << 40) - 2
+        assert montecarlo._encode_snr(math.inf) == 1 << 40
+
+    @pytest.mark.parametrize("snr_db", [-3083.0, -4000.0, -549755813.887])
+    def test_snr_without_a_noise_power_is_rejected(self, snr_db):
+        # 10 ** (-snr_db / 10) overflows: SnrSpec.n0 once raised OverflowError
+        message = f"snr_db = {snr_db!r} has no finite noise power"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SnrSpec(snr_db).n0
+        with pytest.raises(ValueError, match=re.escape(message)):
+            trial_rng(0, 4, 4, snr_db, 0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig(nt=4, nr=4, snr_db=snr_db)
+        assert math.isfinite(SnrSpec(-3082.0).n0)
+        trial_rng(0, 4, 4, -3082.0, 0).standard_normal(1)
 
     def test_snr_values_sharing_a_key_are_rejected(self):
         with pytest.raises(ValueError, match="share one seed key"):
@@ -305,9 +329,9 @@ class TestTrial:
 
         def dipping_run(*args, **kwargs):
             decision, block = real_run(*args, **kwargs)
-            lam = block.flip_likelihood.copy()
-            lam[0] = block.initial_likelihood[block.flip_row[0]] - 100.0
-            return decision, replace(block, flip_likelihood=lam)
+            gain = block.flip_gain.copy()
+            gain[0] = -100.0
+            return decision, replace(block, flip_gain=gain)
 
         monkeypatch.setattr(montecarlo, "run", dipping_run)
         with pytest.raises(AssertionError,
@@ -397,6 +421,28 @@ class TestExperimentConfig:
             ExperimentConfig(
                 nt=4, nr=4, snr_db=list(np.linspace(0, 30, MAX_GRID_POINTS + 1))
             )
+
+    def test_repeated_values_are_found_in_linear_time(self):
+        # each value was once compared with every earlier one, n^2 / 2 calls
+        calls = 0
+
+        class Value:
+            def __init__(self, v):
+                self.v = v
+
+            def __hash__(self):
+                return hash(self.v)
+
+            def __eq__(self, other):
+                nonlocal calls
+                calls += 1
+                return self.v == other.v
+
+        axis = tuple(Value(v) for v in range(2000))
+        montecarlo.check_distinct("axis", axis)
+        assert calls <= len(axis)
+        with pytest.raises(ValueError, match="more than once"):
+            montecarlo.check_distinct("axis", axis + (Value(7),))
 
     def test_from_mapping_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown config keys"):

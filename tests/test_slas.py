@@ -336,3 +336,40 @@ class TestRunFlopAccounting:
         c = FlopCounter()
         _, trace = run(ws, b0, rho=1.0, n_f=24, counter=c)
         assert c.total == 2 * nt * nt + nt + trace.flips * (2 * nt + 1)
+
+
+def test_block_records_each_flip_by_what_it_changes():
+    """Each record against direct evaluation: its gain is the likelihood after
+    the flip less the likelihood before, a row at rho >= 1 never loses (while
+    rho < 1 does), ``flip_wrong`` says whether the new bit is wrong, and a
+    row's paths are running sums of its records."""
+    nt, rhos = 8, [0.5, 0.8, 1.0, 1.2]
+    setups = [_random_setup(nt, nt, 500 + t, snr_db=4.0) for t in range(6)]
+    stacked = SlasWorkspace(*(np.stack([getattr(s[0], f) for s in setups])
+                              for f in ("y_eff", "h_real")))
+    truth = np.stack([s[2] for s in setups])
+    start = -np.stack([s[1] for s in setups])  # the negated decisions flip often
+    _, block = run(stacked, start, rhos, 4 * nt, b_true=truth)
+    losses = 0
+    for i in range(len(setups) * len(rhos)):
+        t, rho = i // len(rhos), rhos[i % len(rhos)]
+        ws, b = setups[t][0], start[t].copy()
+        first, last = block.offsets[i], block.offsets[i + 1]
+        for q in range(first, last):
+            j = block.flip_step[q] % nt
+            before = likelihood(ws, b)
+            b[j] = -b[j]
+            assert block.flip_gain[q] == pytest.approx(likelihood(ws, b) - before, rel=1e-9)
+            assert block.flip_wrong[q] == (b[j] != truth[t, j])
+            assert rho < 1.0 or block.flip_gain[q] >= 0.0
+            losses += block.flip_gain[q] < 0.0
+        np.testing.assert_array_equal(b, block.final_bits[i])
+        trace = block.row(i)
+        done = np.cumsum(trace.flipped)
+        lams = np.cumsum(np.concatenate(([block.initial_likelihood[i]],
+                                         block.flip_gain[first:last])))
+        errs = np.cumsum(np.concatenate(([block.initial_bit_errors[i]],
+                                         np.where(block.flip_wrong[first:last], 1, -1))))
+        assert trace.likelihood.tobytes() == lams[done].tobytes()
+        np.testing.assert_array_equal(trace.bit_errors, errs[done])
+    assert block.flips > 50 and losses > 0

@@ -130,3 +130,10 @@ run selfcheck --instances 9 >"$out/selfcheck.txt"
 status=0
 run selfcheck --instances 27 --inject-fault grad-sign >"$out/selfcheck-fault.txt" || status=$?
 echo "exit $status" >>"$out/selfcheck-fault.txt"
+# the replay evaluates the likelihood directly on every step: at 1000
+# instances a verdict that sits near a tolerance would show a change there
+run selfcheck --instances 1000 >"$out/selfcheck-1000.txt"
+status=0
+run selfcheck --instances 1000 --seed 7 --inject-fault grad-sign \
+    >"$out/selfcheck-1000-fault.txt" || status=$?
+echo "exit $status" >>"$out/selfcheck-1000-fault.txt"
