@@ -420,7 +420,8 @@ _FLAGS: dict[str, tuple[str, dict]] = {
     "--instances": ("instances", {"type": int}),
     "--inject-fault": ("inject_fault", {
         "choices": ["none", "grad-sign"],
-        "help": "deliberately corrupt the replay to prove the suite catches it"}),
+        "help": "run the search on a workspace with H_real negated, while the "
+                "replay stays exact, to prove the suite catches it"}),
     "--seed": ("master_seed", {"type": int, "metavar": "SEED", "help": "master seed"}),
     "--jobs": ("jobs", {"type": _jobs, "default": 1,
                         "help": "worker processes (at most the CPU count)"}),

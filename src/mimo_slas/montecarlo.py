@@ -176,6 +176,13 @@ def _flag(value) -> bool:
     raise ValueError(f"las_enabled entries must be true or false, got {value!r}")
 
 
+def _detector(value) -> DetectorKind:
+    try:
+        return DetectorKind(value)
+    except ValueError:
+        raise ValueError(f"detector entries must be mf, zf or mmse, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Sweep description.  nt/nr are zipped (paired antenna counts); the
@@ -200,9 +207,7 @@ class ExperimentConfig:
         object.__setattr__(self, "nr", _normalize(self.nr, _integer("nr")))
         object.__setattr__(self, "snr_db", _normalize(self.snr_db, _real("snr_db")))
         object.__setattr__(self, "rho", _normalize(self.rho, _rho))
-        object.__setattr__(
-            self, "detector", _normalize(self.detector, DetectorKind)
-        )
+        object.__setattr__(self, "detector", _normalize(self.detector, _detector))
         object.__setattr__(self, "las_enabled", _normalize(self.las_enabled, _flag))
         for name in ("n_f", "max_trials", "min_bit_errors", "master_seed"):
             object.__setattr__(self, name, _integer(name)(getattr(self, name)))
@@ -278,6 +283,8 @@ def _encode_snr(snr_db: float) -> int:
 
     A finite value needs a milli-dB magnitude below 2**39, so that its key
     stays below the noiseless key ``1 << 40``, and a finite noise power."""
+    if math.isnan(snr_db):
+        raise ValueError(f"snr_db = {snr_db!r} is not a number")
     if math.isinf(snr_db):
         if snr_db > 0:
             return 1 << 40

@@ -1,5 +1,11 @@
 """Randomized property suite that replays the search kernel behind every BER.
 
+Instance i is trial i of its (nt, nt, snr) cell under the seed contract,
+drawn by :func:`mimo_slas.montecarlo.draw`, with nt = nr, snr and the
+detector taken round robin (see :func:`_instance`).  So its search is byte
+for byte the trace of ``montecarlo.trial`` at rho = 1 and n_f = 64 nt on that
+trial (README "Reproducibility").
+
 The instances of each antenna count run as one block of
 :func:`mimo_slas.slas.run` at selectivity factor 1, as the Monte-Carlo
 trials do, and each instance's row of the block is walked with direct
@@ -16,9 +22,9 @@ silent pass.  Checks per instance:
 * ml-bound    — the final likelihood never exceeds the exhaustive ML value.
 
 ``inject_fault="grad-sign"`` runs the kernel on a workspace whose ``H_real``
-has the wrong sign, so its gradient and every rank-one update are wrong
-while the replay stays exact; the gradient check must then fail (the CLI
-exits 1).  This keeps the suite itself testable.
+is negated, so its gradient and every rank-one update are wrong, while the
+replay keeps the true workspace and stays exact; the gradient check must then
+fail (the CLI exits 1).  This keeps the suite itself testable.
 """
 
 from __future__ import annotations
@@ -27,8 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SnrSpec, assemble, sample_bpsk, sample_channel
+from .channel import SnrSpec
 from .detectors import DetectorKind, detect, slice_bpsk
+from .montecarlo import draw
 from .oracle import is_local_optimum, ml_bruteforce
 from .slas import SlasTrace, SlasWorkspace, gradient_full, likelihood, precompute, run
 
@@ -58,15 +65,13 @@ class CheckCounts:
 
 
 def _instance(instance: int, seed: int):
-    """Workspace and initial decision of one instance, from its own seed."""
+    """Workspace and initial decision of one instance, from the inputs of
+    trial ``instance`` of its (nt, nt, snr) cell.  The key leaves out the
+    detector; the instances of one (nt, snr) still have distinct indices."""
     nt = _NT_AXIS[instance % 3]
     snr = SnrSpec(_SNR_AXIS[(instance // 3) % 3])
     det = _DETECTOR_AXIS[(instance // 9) % 3]
-    rng = np.random.default_rng(np.random.SeedSequence((seed, instance)))
-
-    h = sample_channel(nt, nt, rng)
-    b_true = sample_bpsk(nt, snr.es, rng)
-    inst = assemble(h, b_true, snr, rng)
+    inst = draw(seed, nt, nt, snr.snr_db, instance)
     b0 = slice_bpsk(detect(det, inst.h, inst.y, snr))
     return precompute(inst.h, inst.y), b0
 
@@ -76,10 +81,8 @@ def _traces(cases: list, fault: str | None) -> list[SlasTrace]:
     kernel per antenna count."""
     traces = [None] * len(cases)
     sign = -1.0 if fault == "grad-sign" else 1.0
-    for nt in _NT_AXIS:
-        index = [i for i, (ws, _) in enumerate(cases) if ws.nt == nt]
-        if not index:
-            continue
+    for k, nt in enumerate(_NT_AXIS[:len(cases)]):
+        index = range(k, len(cases), 3)  # instance i has nt _NT_AXIS[i % 3]
         stacked = SlasWorkspace(
             y_eff=np.stack([cases[i][0].y_eff for i in index]),
             h_real=sign * np.stack([cases[i][0].h_real for i in index]),

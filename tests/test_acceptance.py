@@ -158,20 +158,22 @@ def test_criterion_06_crossing_gap_between_selectivities():
     """32x32 MF-initialized search, n_F=96: the SNR where BER first drops
     below 1e-3 (1 dB grid) is at least 3 dB lower at rho=0.8 than rho=1.0."""
     crossings = {}
-    for rho in (0.8, 1.0):
-        first = None
-        for snr_db in range(-8, 1):
-            result = run_point(
-                _point(32, 32, snr_db, "mf", las=True, rho=rho, n_f=96,
-                       max_trials=40_000),
-                n_jobs=N_JOBS,
-            )
+    for snr_db in range(-8, 1):
+        # one sweep per SNR over the rho values that have not crossed yet;
+        # each of its cells is run_point's result for that cell
+        open_rhos = [rho for rho in (0.8, 1.0) if rho not in crossings]
+        if not open_rhos:
+            break
+        cfg = ExperimentConfig(nt=32, nr=32, snr_db=snr_db, rho=open_rhos, detector="mf",
+                               las_enabled=True, n_f=96, max_trials=40_000,
+                               min_bit_errors=10**9, master_seed=SEED)
+        for result in run_sweep(cfg, n_jobs=N_JOBS):
+            rho = result.point.rho
             print(f"criterion 6: rho={rho:.1f} snr={snr_db} ber={result.ber:.5e}")
             if result.ber < 1e-3:
-                first = snr_db
-                break
-        assert first is not None, f"no 1e-3 crossing found for rho={rho}"
-        crossings[rho] = first
+                crossings[rho] = snr_db
+    for rho in (0.8, 1.0):
+        assert rho in crossings, f"no 1e-3 crossing found for rho={rho}"
     gap = crossings[1.0] - crossings[0.8]
     print(f"criterion 6: crossings={crossings} gap={gap} dB")
     assert gap >= 3, crossings

@@ -329,6 +329,8 @@ class TestConfigFile:
         ("rho", [True], "rho entries must be real numbers (not NaN), got True"),
         ("snr_db", [], "snr_db must have at least one value"),
         ("las_enabled", "maybe", "las_enabled must be on, off, both or booleans, got 'maybe'"),
+        ("detector", "MF", "detector entries must be mf, zf or mmse, got 'MF'"),
+        ("detector", ["mf", 3], "detector entries must be mf, zf or mmse, got 3"),
     ])
     def test_config_value_of_wrong_type_exits_2(self, key, value, message, capsys, tmp_path):
         config = {"nt": 4, "nr": 4, "snr_db": 0, "detector": "mf", "las_enabled": True,

@@ -118,6 +118,16 @@ class TestTrialRng:
         assert math.isfinite(SnrSpec(-3082.0).n0)
         trial_rng(0, 4, 4, -3082.0, 0).standard_normal(1)
 
+    def test_nan_snr_is_not_a_number(self):
+        # a library call reaches the key with NaN; it was reported as too large
+        message = "snr_db = nan is not a number"
+        with pytest.raises(ValueError, match=message):
+            trial_rng(0, 4, 4, math.nan, 0)
+        with pytest.raises(ValueError, match=message):
+            draw(0, 4, 4, math.nan, 0)
+        with pytest.raises(ValueError, match=message):
+            trial(_point(snr_db=math.nan), 0)
+
     def test_snr_values_sharing_a_key_are_rejected(self):
         with pytest.raises(ValueError, match="share one seed key"):
             check_snr_keys([10.0, 10.0004])
@@ -534,6 +544,12 @@ class TestExperimentConfig:
         assert ExperimentConfig(nt=[4, 4], nr=[4, 6], snr_db=5.0).grid_size() == 2
         with pytest.raises(ValueError, match=re.escape("(nt, nr) has the value (4, 6) more")):
             ExperimentConfig(nt=[4, 8, 4], nr=[6, 6, 6], snr_db=5.0)
+
+    @pytest.mark.parametrize("value,shown", [("MF", "'MF'"), (["mf", 3], "3"), ([None], "None")])
+    def test_detector_entries_must_be_detector_names(self, value, shown):
+        message = f"detector entries must be mf, zf or mmse, got {shown}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig(nt=4, nr=4, snr_db=0.0, detector=value)
 
     @pytest.mark.parametrize("value", ["off", ["off"], [True, "on"], 1, [0], None])
     def test_las_entries_must_be_bools(self, value):
