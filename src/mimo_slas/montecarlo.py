@@ -19,15 +19,27 @@ samplers with one generator per trial, is the reference of the contract.
 :func:`_draws` reproduces it for a block of consecutive trials: it reads
 SeedSequence's pool after the key's four integers from numpy (once per key),
 runs SeedSequence's hash of the trial index vectorised over the indices and
-PCG64's seeding on Python ints, sets the result on one reused generator,
-makes each trial's three generator calls in the reference's order, and forms
-the stacked channel, payload and observation with the reference's
-elementwise formulas.  ``TestBlockDraw`` in ``tests/test_montecarlo.py``
-pins the generator states and the inputs bit for bit against the
-reference, and the stacked detection, workspace and search start (for ZF
-and MMSE, through the shared ``H^H H`` and ``H^H y``) against per-trial
-calls; ``tools/reference_outputs.sh`` and acceptance criterion 9 pin the
-outputs.
+PCG64's seeding on Python ints, sets the result on one reused generator and
+makes each trial's three draws in the reference's order, into buffers of
+the sub-block.  The payload is read from raw 64-bit words:
+numpy's ``integers(0, 2)`` takes Lemire's bounded path with a rejection
+threshold of 0, so each bit is the top bit of a 32-bit draw, and PCG64
+hands out a raw word's low half first, so the bits are bit 31, then bit 63,
+of ``ceil(nt/2)`` raw words.  H and the noise are written in place as
+``sqrt(1/2)`` and ``sqrt(n0/2)`` times their normals, into the real and
+imaginary views of H and of y: the reference's products except
+where a normal is exactly 0.0, which the ziggurat gives with probability
+about 2**-52 and which can then differ only in the sign of a zero.
+``TestBlockDraw`` in ``tests/test_montecarlo.py`` pins the generator states
+and the inputs bit for bit against the reference (its keys include nt 1
+and 3, so an odd payload's unused half word is covered), and the stacked
+detection, workspace and search start (for ZF and MMSE, through the shared
+``H^H H`` and ``H^H y``) against per-trial calls;
+``tools/reference_outputs.sh`` and acceptance criterion 9 pin the outputs.
+
+Heap: a process that runs trials holds glibc's heap (see :func:`_hold_heap`),
+so that the buffers of one block are not given back to the system and
+faulted in again by the next.  No output depends on it.
 
 Execution: cells that differ only in rho form a group and run over shared
 chunks of ``_CHUNK`` trial indices, the unit of the process pool and of the
@@ -48,6 +60,7 @@ turn; a trace sums each chunk into running totals as it arrives.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import numbers
@@ -93,6 +106,10 @@ _DRAW_BYTES = 1 << 18
 # every chunk.
 _SHARED: dict = {}
 _PLAN: list = []
+# glibc's mallopt parameters (malloc.h) and the values a trial process sets
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_MMAP_THRESHOLD = 32 << 20
+_HEAP_TRIM_THRESHOLD = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -418,14 +435,20 @@ def _draws(master_seed: int, nt: int, nr: int, snr_db: float, start: int, stop: 
     """The inputs of trials [start, stop), in sub-blocks of consecutive trials.
 
     Yields ``(first trial, h, b_true, y)`` with the arrays stacked along a
-    leading trial axis.  A sub-block holds at most ``_DRAW_BYTES`` of
-    complex channel.  Each trial's generator is set to the state that
-    :func:`trial_rng` gives it (with no buffered 32-bit word) and makes the
-    calls of ``sample_channel``, ``sample_bpsk`` and ``assemble`` in their
-    order: the 2*nr*nt normals of H's real and imaginary blocks, the payload
-    bits, the 2*nr normals of the noise.  H, the payload and the noise are
-    then formed with those functions' elementwise formulas, and y with one
-    stacked product, so every trial's inputs are bit for bit :func:`draw`'s.
+    leading trial axis, new arrays for every sub-block.  A sub-block holds
+    at most ``_DRAW_BYTES`` of complex channel.  Each trial's generator is
+    set to the state that :func:`trial_rng` gives it (with no buffered
+    32-bit word) and draws what ``sample_channel``, ``sample_bpsk`` and
+    ``assemble`` draw, in their order: the 2*nr*nt normals of H's real and
+    imaginary blocks, the ``ceil(nt/2)`` raw words that ``integers(0, 2,
+    nt)`` reads, whose bits 31 and 63 are its payload bits in turn, and the
+    2*nr normals of the noise, into buffers of the sub-block.  H is written
+    in place, ``np.multiply(z[:, 0], sqrt(1/2), out=h.real)`` and likewise
+    for the imaginary part, the payload with ``sample_bpsk``'s formula, and
+    y as one stacked product to whose real and imaginary parts the scaled
+    noise normals are added in place, so every trial's inputs are bit for
+    bit :func:`draw`'s (up to the sign of a zero where a normal is exactly
+    0.0; see the module docstring).
     """
     if nt < 1 or nr < 1:
         raise ValueError(f"antenna counts must be >= 1, got nt={nt} nr={nr}")
@@ -438,24 +461,29 @@ def _draws(master_seed: int, nt: int, nr: int, snr_db: float, start: int, stop: 
     bitgen = np.random.PCG64(0)  # set to each trial's state in turn
     rng = np.random.Generator(bitgen)
     size = max(1, _DRAW_BYTES // (16 * nr * nt))
+    h_scale, noise_scale = math.sqrt(0.5), math.sqrt(snr.n0 / 2.0)
     for lo in range(0, stop - start, size):
         chunk = states[lo:lo + size]
-        z = np.empty((len(chunk), 2, nr, nt))
-        bits = np.empty((len(chunk), nt), dtype=np.int64)
-        e = np.empty((len(chunk), 2, nr))
+        n = len(chunk)
+        z = np.empty((n, 2, nr, nt))
+        words = np.empty((n, (nt + 1) // 2), dtype=np.uint64)
+        e = np.empty((n, 2, nr))
         for k, (state, inc) in enumerate(chunk):
             bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                             "has_uint32": 0, "uinteger": 0}
             rng.standard_normal(out=z[k])
-            bits[k] = rng.integers(0, 2, nt)
+            words[k] = bitgen.random_raw(words.shape[1])
             rng.standard_normal(out=e[k])
-        h = math.sqrt(0.5) * (z[:, 0] + 1j * z[:, 1])
-        b_true = math.sqrt(snr.es) * (2.0 * bits - 1.0)
-        noise = math.sqrt(snr.n0 / 2.0) * (e[:, 0] + 1j * e[:, 1])
-        y = (h @ b_true[:, :, None])[:, :, 0] + noise
-        # Free the normals before the caller runs: held across the yield, a
-        # 256 KiB buffer made malloc trim and page the heap in again on every
-        # sub-block (65 minor page faults per trial at 128x128).
+        h = np.empty((n, nr, nt), dtype=np.complex128)
+        np.multiply(z[:, 0], h_scale, out=h.real)
+        np.multiply(z[:, 1], h_scale, out=h.imag)
+        bits = (words[:, :, None] >> np.array([31, 63], dtype=np.uint64) & 1).reshape(n, -1)
+        b_true = math.sqrt(snr.es) * (2.0 * bits[:, :nt] - 1.0)
+        y = (h @ b_true[:, :, None])[:, :, 0]
+        y.real += noise_scale * e[:, 0]
+        y.imag += noise_scale * e[:, 1]
+        # Freed before the yield: held across it, the normals would add a
+        # sub-block of them (256 KiB at 128x128) to the caller's peak memory
         del z, e
         yield start + lo, h, b_true, y
 
@@ -504,6 +532,27 @@ def trial(
     return errors, (block.row(row) if record_trace and block is not None else None)
 
 
+@functools.cache
+def _hold_heap() -> None:
+    """Keep the freed blocks of this process in glibc's heap, once per process.
+
+    By default glibc serves each array above a sliding threshold (128 KiB at
+    first) with its own ``mmap`` and hands the top of the heap back to the
+    system once more than that lies free, so every block of trials faulted
+    its buffers in again (about 65 minor page faults per 128x128 trial).
+    With ``M_MMAP_THRESHOLD`` at 32 MiB and ``M_TRIM_THRESHOLD`` at 64 MiB
+    the buffers of one block are reused by the next.  Where the C library
+    has no ``mallopt`` nothing is set; no output depends on either setting.  Called at the top of every chunk, so that it
+    runs in each process that runs trials, pool workers included.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, _HEAP_MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _HEAP_TRIM_THRESHOLD)
+
+
 def _trial_bytes(nt: int, cells: int) -> int:
     """Bytes a block holds per trial: its H_real and, per row, the search's
     bits, gradient, thresholds and visit schedule."""
@@ -518,9 +567,11 @@ def _block(cells: tuple[PointSpec, ...], start: int, stop: int) -> dict:
     """Outcomes of trials [start, stop) of cells that differ only in rho.
 
     The inputs come from :func:`_draws`, a sub-block at a time, and are
-    detected once for all the cells.  MF detects the sub-block as one
-    stacked product, and :func:`~mimo_slas.slas.precompute` forms its
-    workspaces.  For ZF and MMSE the sub-block's ``z = H^H y`` and
+    detected once for all the cells.  With the search on, MF takes its
+    decisions from the sign of the workspaces' ``y_eff = 2 Re(H^H y)``,
+    which :func:`~mimo_slas.slas.precompute` forms as stacked products, so
+    ``H^H y`` is formed once; with the search off, MF forms ``H^H y`` alone
+    and no Gram matrix.  For ZF and MMSE the sub-block's ``z = H^H y`` and
     ``G = H^H H`` are formed once, as stacked products, and read by both
     detection (:func:`~mimo_slas.detectors.equalize`, one trial at a time,
     so that each trial's singularity verdict is its own) and the workspaces
@@ -538,12 +589,17 @@ def _block(cells: tuple[PointSpec, ...], start: int, stop: int) -> dict:
         y_eff, bits, truth = (np.empty((n, nt)) for _ in range(3))
         h_real = np.empty((n, nt, nt))
     for first, h, b_true, y in _draws(p.master_seed, p.nt, p.nr, p.snr_db, start, stop):
-        z, gram = mf(h, y), None
         if p.detector is DetectorKind.MF:
             kept = range(len(h))
-            decisions = slice_bpsk(equalize(p.detector, gram, z, snr))
+            if p.las_enabled:
+                # y_eff = 2 Re(H^H y) keeps the sign of every entry of Re z,
+                # -0 included, so it slices as the matched filter does
+                ws = precompute(h, y)
+                decisions = slice_bpsk(ws.y_eff)
+            else:
+                decisions = slice_bpsk(mf(h, y))
         else:
-            gram = mat_mul(hermitian_transpose(h), h)
+            z, gram = mf(h, y), mat_mul(hermitian_transpose(h), h)
             kept, decisions = [], []
             for k in range(len(h)):
                 try:
@@ -555,15 +611,13 @@ def _block(cells: tuple[PointSpec, ...], start: int, stop: int) -> dict:
                 continue
             if len(kept) < len(h):
                 gram, z, b_true = gram[kept], z[kept], b_true[kept]
+            if p.las_enabled:
+                ws = workspace(gram, z)
         if not p.las_enabled:
             errors = np.count_nonzero(np.asarray(decisions) != b_true, axis=1)
             for k, e in zip(kept, errors.tolist()):
                 outcomes.update(((c, first + k), (e, None, None)) for c in cells)
             continue
-        # MF detection needs no Gram matrix, so MF keeps precompute's own:
-        # forming it above for the workspace measured 5-8% more CPU per
-        # trial on trace-128
-        ws = precompute(h, y) if gram is None else workspace(gram, z)
         rows = slice(len(searched), len(searched) + len(kept))
         y_eff[rows], h_real[rows] = ws.y_eff, ws.h_real
         bits[rows], truth[rows] = decisions, b_true
@@ -612,6 +666,7 @@ def _ber_chunk(points: list[PointSpec], start: int, stop: int) -> np.ndarray:
     """Error counts of each cell (rows) for trials [start, stop) (columns),
     index-major so that the cells share each trial's inputs; -1 marks an
     aborted trial."""
+    _hold_heap()
     out = np.empty((len(points), stop - start), dtype=np.int64)
     with _planned(points, start, stop):
         for i in range(start, stop):
@@ -738,6 +793,7 @@ def run_sweep(cfg: ExperimentConfig, n_jobs: int = 1) -> list[BerPoint]:
 def _trace_chunk(point: PointSpec, start: int, stop: int):
     """Trials [start, stop)'s likelihood rows (trials x (n_f + 1)) and the
     per-step sums of their bit errors."""
+    _hold_heap()
     lams = np.empty((stop - start, point.n_f + 1), dtype=np.float64)
     err_sum = np.zeros(point.n_f + 1, dtype=np.int64)
     with _planned([point], start, stop):

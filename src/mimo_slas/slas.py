@@ -54,12 +54,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    FlopCounter,
-    hermitian_transpose,
-    mat_mul,
-    mat_vec,
-)
+from .detectors import mf
+from .linalg import FlopCounter, hermitian_transpose, mat_mul
 
 __all__ = [
     "SlasWorkspace",
@@ -184,9 +180,9 @@ def precompute(
     h: np.ndarray, y: np.ndarray, counter: FlopCounter | None = None
 ) -> SlasWorkspace:
     """Build the search workspace from the channel estimate and observation,
-    or the stacked workspaces of a stack of them (leading trial axis)."""
-    hh = hermitian_transpose(h)
-    return workspace(mat_mul(hh, h, counter), mat_vec(hh, y, counter), counter)
+    or the stacked workspaces of a stack of them (leading trial axis):
+    :func:`workspace` of ``H^H H`` and the matched filter ``H^H y``."""
+    return workspace(mat_mul(hermitian_transpose(h), h, counter), mf(h, y, counter), counter)
 
 
 def workspace(

@@ -1,8 +1,11 @@
 """Monte-Carlo harness tests: seed discipline, worker-count invariance,
 stopping behavior, and the sweep grid."""
 
+import ctypes
 import math
+import platform
 import re
+import resource
 import tracemalloc
 from contextlib import closing
 from dataclasses import replace
@@ -754,6 +757,53 @@ class TestBlocks:
         default = outputs(None)
         assert outputs(1) == default
         assert outputs(7) == default
+
+
+def _glibc_mallopt() -> bool:
+    """Whether this process's C library is glibc and exposes ``mallopt``."""
+    try:
+        return platform.libc_ver()[0] == "glibc" and hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+class TestHeap:
+    """A process that runs trials holds glibc's heap, so blocks do not fault
+    their buffers in again; where ``mallopt`` is missing nothing is set."""
+
+    @pytest.mark.skipif(not _glibc_mallopt(), reason="needs glibc's mallopt")
+    def test_a_warm_trace_chunk_takes_no_page_faults(self):
+        # criterion 7's 128x128 MF cell: 14 trials are two blocks of seven.
+        # The warm-up chunk of four blocks lets the heap reach its high-water
+        # mark before the count starts.
+        p = _point(nt=128, nr=128, snr_db=10.0, n_f=384, max_trials=42)
+        assert montecarlo._block_trials((p,)) == 7
+        montecarlo._trace_chunk(p, 0, 28)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        montecarlo._trace_chunk(p, 28, 42)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 14, f"{faults / 14:.1f} minor page faults per trial"
+
+    @pytest.mark.parametrize("lookup", ["no library", "no mallopt"])
+    def test_a_missing_mallopt_is_skipped_quietly(self, lookup, monkeypatch):
+        p = _point(nt=32, nr=32, snr_db=4.0, n_f=64, max_trials=40)
+        expected = montecarlo._ber_chunk([p], 0, 40)
+        looked_up = []
+
+        def cdll(name, *args, **kwargs):
+            looked_up.append(name)
+            if lookup == "no library":
+                raise OSError("no C library")
+            return object()  # a library without mallopt
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        montecarlo._hold_heap.cache_clear()
+        try:
+            assert montecarlo._hold_heap() is None
+            assert looked_up == [None]
+            assert montecarlo._ber_chunk([p], 0, 40).tolist() == expected.tolist()
+        finally:
+            montecarlo._hold_heap.cache_clear()
 
 
 class TestRunTrace:
