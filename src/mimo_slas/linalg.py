@@ -15,7 +15,10 @@ optional :class:`FlopCounter` under the convention
 
 A matrix product (m x p)(p x n) therefore charges ``8*m*n*p - 2*m*n`` flops:
 a complex multiplication per term and a complex addition per term but the
-first of each entry (:func:`mat_mul_flops`).  Matrix inversion is charged the
+first of each entry (:func:`mat_mul_flops`).  :func:`gram_real` forms only
+``Re(H^H H)``, as one real product, yet charges the complex product
+``H^H H``: the charge is the paper's price of the quantity, not of the
+arithmetic that forms it.  Matrix inversion is charged the
 textbook lump cost ``ceil(2/3 * n^3)`` (:func:`gauss_invert_flops`, which the
 detectors charge) so that instrumented totals line up with the closed-form
 detector cost models in :mod:`mimo_slas.complexity`.
@@ -45,6 +48,7 @@ __all__ = [
     "hermitian_transpose",
     "mat_mul",
     "mat_vec",
+    "gram_real",
     "gauss_invert",
     "hermitian_solve",
     "mat_mul_flops",
@@ -157,6 +161,25 @@ def mat_vec(a: np.ndarray, x: np.ndarray, counter: FlopCounter | None = None) ->
     if counter is not None:
         counter.charge(_slices(a.shape[:-2], x.shape[:-1]) * mat_vec_flops(m, p))
     return a @ x if x.ndim == 1 else (a @ x[..., None])[..., 0]
+
+
+def gram_real(h: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
+    """``Re(H^H H)`` of an (nr x nt) matrix, or of each matrix of a stack, as
+    the one real product ``S^T S`` of the stack ``S = [Re H; Im H]`` (2nr x
+    nt), charging :func:`mat_mul_flops` of the complex ``H^H H`` per matrix.
+
+    numpy's ``matmul`` sees both operands read one buffer and calls BLAS's
+    symmetric rank-k update, then copies the triangle it formed: the result
+    is exactly symmetric, and each slice of a stack is bit for bit the
+    product of that slice alone.  It differs from the real part of
+    :func:`mat_mul`'s complex product by rounding only.
+    """
+    h = _as_matrix(h, "h", stacked=True)
+    nr, nt = h.shape[-2:]
+    if counter is not None:
+        counter.charge(_slices(h.shape[:-2]) * mat_mul_flops(nt, nt, nr))
+    s = np.concatenate((h.real, h.imag), axis=-2)
+    return s.swapaxes(-1, -2) @ s
 
 
 def gauss_invert(a: np.ndarray) -> np.ndarray:

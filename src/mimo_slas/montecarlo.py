@@ -542,8 +542,9 @@ def _hold_heap() -> None:
     its buffers in again (about 65 minor page faults per 128x128 trial).
     With ``M_MMAP_THRESHOLD`` at 32 MiB and ``M_TRIM_THRESHOLD`` at 64 MiB
     the buffers of one block are reused by the next.  Where the C library
-    has no ``mallopt`` nothing is set; no output depends on either setting.  Called at the top of every chunk, so that it
-    runs in each process that runs trials, pool workers included.
+    has no ``mallopt`` nothing is set; no output depends on either setting.
+    Called at the top of every chunk, so that it runs in each process that
+    runs trials, pool workers included.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -570,15 +571,17 @@ def _block(cells: tuple[PointSpec, ...], start: int, stop: int) -> dict:
     detected once for all the cells.  With the search on, MF takes its
     decisions from the sign of the workspaces' ``y_eff = 2 Re(H^H y)``,
     which :func:`~mimo_slas.slas.precompute` forms as stacked products, so
-    ``H^H y`` is formed once; with the search off, MF forms ``H^H y`` alone
-    and no Gram matrix.  For ZF and MMSE the sub-block's ``z = H^H y`` and
-    ``G = H^H H`` are formed once, as stacked products, and read by both
-    detection (:func:`~mimo_slas.detectors.equalize`, one trial at a time,
-    so that each trial's singularity verdict is its own) and the workspaces
-    (:func:`~mimo_slas.slas.workspace`).  A singular trial is drawn once and
-    marked aborted in every cell.  The workspaces are copied into the
-    block's stacked arrays, and one :func:`run` then searches every
-    (trial, cell) row.
+    ``H^H y`` is formed once, and MF forms no complex Gram matrix: its
+    ``H_real`` is the one real product ``2 S^T S`` over ``S = [Re H; Im
+    H]``.  With the search off, MF forms ``H^H y`` alone.  For ZF and MMSE
+    the sub-block's ``z = H^H y`` and complex ``G = H^H H`` are formed once,
+    as stacked products, and read by both detection
+    (:func:`~mimo_slas.detectors.equalize`, one trial at a time, so that
+    each trial's singularity verdict is its own) and the workspaces
+    (:func:`~mimo_slas.slas.workspace`, which takes ``2 Re(G)``).  A
+    singular trial is drawn once and marked aborted in every cell.  The
+    workspaces are copied into the block's stacked arrays, and one
+    :func:`run` then searches every (trial, cell) row.
     """
     p = cells[0]
     snr = SnrSpec(p.snr_db)

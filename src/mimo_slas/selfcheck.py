@@ -34,10 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SnrSpec
-from .detectors import DetectorKind, detect, slice_bpsk
+from .detectors import DetectorKind, equalize, mf, slice_bpsk
+from .linalg import hermitian_transpose, mat_mul
 from .montecarlo import draw
 from .oracle import is_local_optimum, ml_bruteforce
-from .slas import SlasTrace, SlasWorkspace, gradient_full, likelihood, precompute, run
+from .slas import SlasTrace, SlasWorkspace, gradient_full, likelihood, precompute, run, workspace
 
 __all__ = ["CheckCounts", "run_selfcheck", "CHECK_NAMES"]
 
@@ -66,14 +67,21 @@ class CheckCounts:
 
 def _instance(instance: int, seed: int):
     """Workspace and initial decision of one instance, from the inputs of
-    trial ``instance`` of its (nt, nt, snr) cell.  The key leaves out the
-    detector; the instances of one (nt, snr) still have distinct indices."""
+    trial ``instance`` of its (nt, nt, snr) cell, formed as
+    ``montecarlo._block`` forms them: MF's workspace by :func:`precompute`
+    and its decision from the sign of ``y_eff``, ZF's and MMSE's by
+    :func:`workspace` of the ``G = H^H H`` and ``z = H^H y`` that give the
+    decision.  The key leaves out the detector;
+    the instances of one (nt, snr) still have distinct indices."""
     nt = _NT_AXIS[instance % 3]
     snr = SnrSpec(_SNR_AXIS[(instance // 3) % 3])
     det = _DETECTOR_AXIS[(instance // 9) % 3]
     inst = draw(seed, nt, nt, snr.snr_db, instance)
-    b0 = slice_bpsk(detect(det, inst.h, inst.y, snr))
-    return precompute(inst.h, inst.y), b0
+    if det is DetectorKind.MF:
+        ws = precompute(inst.h, inst.y)
+        return ws, slice_bpsk(ws.y_eff)
+    z, gram = mf(inst.h, inst.y), mat_mul(hermitian_transpose(inst.h), inst.h)
+    return workspace(gram, z), slice_bpsk(equalize(det, gram, z, snr, nt))
 
 
 def _traces(cases: list, fault: str | None) -> list[SlasTrace]:

@@ -16,11 +16,15 @@ monotonicity for a lower error floor.
 Workspace quantities (real-valued reduction of the complex model):
 
 * ``y_eff   = 2 * Re(H^H y)``  (elementwise equal to ``H^H y + conj(H^H y)``),
-* ``H_eff   = H^H H`` (formed by :func:`precompute`, or passed to
-  :func:`workspace` with ``H^H y``, and not kept),
+* ``H_eff   = H^H H``, of which the search reads only the real part and
+  which is not kept,
 * ``H_real  = 2 * Re(H_eff)``, whose diagonal gives the thresholds
   ``zeta`` (derived by :class:`SlasWorkspace`, which stores only ``y_eff``
-  and ``H_real``),
+  and ``H_real``).  :func:`precompute` forms it from the channel as
+  ``2 S^T S`` over the real stack ``S = [Re H; Im H]``
+  (:func:`~mimo_slas.linalg.gram_real`), never the complex ``H_eff``;
+  :func:`workspace` takes a complex ``H_eff`` that a ZF or MMSE detector
+  has already formed,
 * likelihood ``L(b) = b^T y_eff - b^T Re(H_eff) b``,
 * gradient   ``g(b) = y_eff - H_real b``.
 
@@ -55,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detectors import mf
-from .linalg import FlopCounter, hermitian_transpose, mat_mul
+from .linalg import FlopCounter, gram_real
 
 __all__ = [
     "SlasWorkspace",
@@ -181,16 +185,18 @@ def precompute(
 ) -> SlasWorkspace:
     """Build the search workspace from the channel estimate and observation,
     or the stacked workspaces of a stack of them (leading trial axis):
-    :func:`workspace` of ``H^H H`` and the matched filter ``H^H y``."""
-    return workspace(mat_mul(hermitian_transpose(h), h, counter), mf(h, y, counter), counter)
+    :func:`workspace` of ``Re(H^H H)``, one real product
+    (:func:`~mimo_slas.linalg.gram_real`), and the matched filter ``H^H y``.
+    It charges what :func:`workspace` of the complex ``H^H H`` would."""
+    return workspace(gram_real(h, counter), mf(h, y, counter), counter)
 
 
 def workspace(
     gram: np.ndarray, z: np.ndarray, counter: FlopCounter | None = None
 ) -> SlasWorkspace:
-    """The search workspace from ``H_eff = H^H H`` and ``z = H^H y``, or the
-    stacked workspaces of stacks of them; :func:`precompute` after its two
-    products."""
+    """The search workspace from ``H_eff = H^H H`` (or its real part) and
+    ``z = H^H y``, or the stacked workspaces of stacks of them;
+    :func:`precompute` after its two products."""
     if counter is not None:
         counter.charge(z.size + gram.size)  # scaling both real parts by 2
     return SlasWorkspace(y_eff=2.0 * z.real, h_real=2.0 * gram.real)

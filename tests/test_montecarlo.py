@@ -30,7 +30,7 @@ from mimo_slas.montecarlo import (
     trial,
     trial_rng,
 )
-from mimo_slas.slas import precompute, run
+from mimo_slas.slas import precompute, run, workspace
 
 
 def _point(**overrides) -> PointSpec:
@@ -243,11 +243,12 @@ class TestBlockDraw:
             assert trace.final_gradient.tobytes() == g.tobytes()
             assert trace.initial_likelihood == 0.5 * float(b0[k] @ one.y_eff + b0[k] @ g)
 
-    @pytest.mark.parametrize("kind", [DetectorKind.ZF, DetectorKind.MMSE])
+    @pytest.mark.parametrize("kind", [DetectorKind.MF, DetectorKind.ZF, DetectorKind.MMSE])
     @pytest.mark.parametrize("nt", [32, 128])
     def test_shared_gram_and_matched_filter_equal_per_trial_calls(self, kind, nt, monkeypatch):
         # ZF and MMSE detection and the workspace read one Gram matrix and one
-        # H^H y per trial, formed as stacks: the same bytes as per-trial calls
+        # H^H y per trial, formed as stacks: the same bytes as per-trial calls.
+        # MF's workspace is stacked precompute, its real product included
         p = _point(nt=nt, nr=nt, snr_db=-10.0 if kind is DetectorKind.MMSE else 10.0,
                    detector=kind, n_f=nt)
         stop = 20 if nt == 32 else 2  # two sub-blocks of 16 and 4, or two of one
@@ -268,7 +269,10 @@ class TestBlockDraw:
         y = np.concatenate([arrays[2] for arrays in inputs])
         assert len(inputs) == 2 and len(h) == len(bits) == stop
         for k in range(stop):
-            one = precompute(h[k], y[k])
+            if kind is DetectorKind.MF:
+                one = precompute(h[k], y[k])
+            else:
+                one = workspace(mat_mul(hermitian_transpose(h[k]), h[k]), mf(h[k], y[k]))
             for got, want in [(ws.y_eff[k], one.y_eff), (ws.h_real[k], one.h_real),
                               (ws.zeta_base[k], one.zeta_base)]:
                 assert got.tobytes() == want.tobytes(), k

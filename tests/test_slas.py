@@ -13,7 +13,7 @@ import pytest
 
 from mimo_slas.channel import sample_bpsk, sample_channel
 from mimo_slas.detectors import mf, slice_bpsk
-from mimo_slas.linalg import FlopCounter
+from mimo_slas.linalg import FlopCounter, hermitian_transpose, mat_mul
 from mimo_slas.slas import (
     SlasWorkspace,
     gradient_full,
@@ -93,6 +93,63 @@ class TestWorkspace:
             + nt * nt
         )
         assert c.total == expected
+
+
+def _stacked_inputs(nt, nr, seed, trials=5):
+    rng = np.random.default_rng(seed)
+    h = np.stack([sample_channel(nt, nr, rng) for _ in range(trials)])
+    y = np.stack([h[k] @ sample_bpsk(nt, 1.0, rng) for k in range(trials)])
+    return h, y
+
+
+SHAPES = [(nt, nt) for nt in (1, 2, 3, 31, 128)] + [(2, 4), (4, 2), (12, 8)]
+
+
+class TestPrecomputeRealGram:
+    """precompute forms H_real as the one real product 2 S^T S over
+    S = [Re H; Im H], never the complex Gram matrix."""
+
+    @pytest.mark.parametrize("nr,nt", SHAPES)
+    def test_h_real_is_exactly_symmetric(self, nr, nt):
+        h, y = _stacked_inputs(nt, nr, 40 + nr + nt)
+        ws = precompute(h, y)
+        assert ws.h_real.tobytes() == ws.h_real.swapaxes(-1, -2).copy().tobytes()
+
+    @pytest.mark.parametrize("nr,nt", SHAPES)
+    def test_stack_equals_per_trial_calls(self, nr, nt):
+        h, y = _stacked_inputs(nt, nr, 50 + nr + nt)
+        ws = precompute(h, y)
+        for k in range(len(h)):
+            one = precompute(h[k], y[k])
+            assert ws.h_real[k].tobytes() == one.h_real.tobytes(), k
+            assert ws.y_eff[k].tobytes() == one.y_eff.tobytes(), k
+
+    @pytest.mark.parametrize("nr,nt", SHAPES)
+    def test_h_real_is_twice_the_real_part_of_the_complex_gram(self, nr, nt):
+        # the two products round differently: within 8 ulp of the largest entry
+        h, y = _stacked_inputs(nt, nr, 60 + nr + nt)
+        ws = precompute(h, y)
+        want = 2.0 * mat_mul(hermitian_transpose(h), h).real
+        for k in range(len(h)):
+            ulp = np.spacing(np.max(np.abs(want[k])))
+            assert np.max(np.abs(ws.h_real[k] - want[k])) <= 8 * ulp, k
+
+
+def test_precompute_bytes_are_pinned():
+    """precompute's y_eff and H_real, at nt 1, 4 and 32, hash to the value
+    of the real product 2 S^T S; a change of how H_real is formed moves it."""
+    digest = hashlib.sha256()
+    for nt in (1, 4, 32):
+        rng = np.random.default_rng(8000 + nt)
+        h = sample_channel(nt, nt, rng)
+        noise = rng.standard_normal(nt) + 1j * rng.standard_normal(nt)
+        y = h @ sample_bpsk(nt, 1.0, rng) + np.sqrt(0.5) * noise
+        ws = precompute(h, y)
+        for a in (ws.y_eff, ws.h_real):
+            digest.update(f"{a.dtype.str}{a.shape}".encode() + a.tobytes())
+    assert digest.hexdigest() == (
+        "e5c54b23f19ecde0cbd14f308478d244a1f70a630b7d833259a1f29b85d044fb"
+    )
 
 
 class TestLikelihoodAndGradient:
@@ -267,7 +324,9 @@ class TestRun:
 def test_trace_bytes_are_pinned():
     """Every field of run's trace, over rho, nt and n_f, hashes to the value
     the numpy-scalar kernel produced; the search loop may get faster, but no
-    output byte may move."""
+    output byte may move.  The workspace is built from the complex Gram
+    product, so that the digest pins run alone; test_precompute_bytes_are_pinned
+    pins precompute's real product."""
     digest = hashlib.sha256()
     for nt in (1, 4, 32):
         rng = np.random.default_rng(7000 + nt)
@@ -275,7 +334,7 @@ def test_trace_bytes_are_pinned():
         b_true = sample_bpsk(nt, 1.0, rng)
         noise = rng.standard_normal(nt) + 1j * rng.standard_normal(nt)
         y = h @ b_true + np.sqrt(0.5) * noise
-        ws = precompute(h, y)
+        ws = workspace(mat_mul(hermitian_transpose(h), h), mf(h, y))
         b0 = slice_bpsk(mf(h, y))
         for rho in (0.0, 0.5, 0.8, 1.0, 1.2):
             for n_f in (0, 3, 90):
