@@ -55,12 +55,12 @@ import sys
 
 from .channel import SnrSpec
 from .complexity import CostKind, flops_closed_form, reconcile
-from .detectors import DetectorKind, detect, slice_bpsk
+from .detectors import DetectorKind, detect
 from .linalg import FlopCounter, SingularMatrixError
-from .montecarlo import (MAX_GRID_POINTS, ExperimentConfig, check_distinct, draw, run_sweep,
-                         run_trace)
+from .montecarlo import (MAX_GRID_POINTS, ExperimentConfig, PointSpec, _start, check_distinct,
+                         draw, run_sweep, run_trace)
 from .selfcheck import run_selfcheck
-from .slas import precompute, run
+from .slas import run
 
 SCHEMA_VERSION = 1
 
@@ -268,19 +268,19 @@ def _write_rows(args, rows) -> None:
         sys.stdout.write(text)
 
 
-def _trial_cost(seed, nt, nr, snr_db, detector, rho, n_f) -> tuple[int, int, int]:
-    """Instrumented flops of trial 0: its detection, its workspace precompute
-    and its search; the last two are 0 when ``n_f`` is None (no search).
-
-    Raises :class:`SingularMatrixError` when trial 0's channel is numerically
-    singular for the detector.
+def _trial_cost(p: PointSpec) -> tuple[int, int, int]:
+    """Instrumented flops of trial 0 of cell ``p``: its detection (the
+    paper's explicit-filter price), then with the search on its start as the
+    sweep forms it (:func:`_start`, charged what ``precompute`` charges) and
+    its search, as a block of one row.  Raises :class:`SingularMatrixError`
+    when trial 0's channel is numerically singular for the detector.
     """
-    inst = draw(seed, nt, nr, snr_db, 0)
+    inst = draw(p.master_seed, p.nt, p.nr, p.snr_db, 0)
     counters = [FlopCounter() for _ in range(3)]
-    soft = detect(detector, inst.h, inst.y, SnrSpec(snr_db), counters[0])
-    if n_f is not None:
-        ws = precompute(inst.h, inst.y, counters[1])
-        run(ws, slice_bpsk(soft), rho, n_f, counter=counters[2])
+    detect(p.detector, inst.h, inst.y, SnrSpec(p.snr_db), counters[0])
+    if p.las_enabled:
+        _, b0, ws, _ = _start(p, inst.h[None], inst.y[None], counters[1])
+        run(ws, b0, [p.rho], p.n_f, counter=counters[2])
     return tuple(c.total for c in counters)
 
 
@@ -293,8 +293,7 @@ def _ber_rows(experiment: str, results) -> list[dict]:
             model += flops_closed_form(CostKind.LAS, p.nt, p.nr, p.n_f)
         try:
             # the sweep counted a singular trial 0 as aborted and flagged the cell
-            measured = sum(_trial_cost(p.master_seed, p.nt, p.nr, p.snr_db, p.detector,
-                                       p.rho, p.n_f if p.las_enabled else None))
+            measured = sum(_trial_cost(p))
         except SingularMatrixError:
             measured = ""
         rows.append(
@@ -371,15 +370,15 @@ def cmd_flops(args, parser) -> int:
     for name in ("nt", "n_f"):
         check_distinct(name, settings[name])
     seed = settings["master_seed"]
-    if seed < 0:
-        raise ValueError(f"master_seed must be >= 0, got {seed}")
     rows = []
     for n in settings["nt"]:
-        for kind in (CostKind.MF, CostKind.ZF, CostKind.MMSE):
-            detection, _, _ = _trial_cost(seed, n, n, 10.0, DetectorKind(kind.value), None, None)
-            rows.append(_flops_row(reconcile(kind, n, n, detection)))
+        for p in ExperimentConfig(nt=n, nr=n, snr_db=10.0, detector=tuple(DetectorKind),
+                                  las_enabled=False, master_seed=seed).points():
+            detection, _, _ = _trial_cost(p)
+            rows.append(_flops_row(reconcile(CostKind(p.detector.value), n, n, detection)))
         for n_f in settings["n_f"]:
-            _, pre, search = _trial_cost(seed, n, n, 10.0, DetectorKind.MF, 1.0, n_f)
+            [p] = ExperimentConfig(nt=n, nr=n, snr_db=10.0, n_f=n_f, master_seed=seed).points()
+            _, pre, search = _trial_cost(p)
             report = reconcile(
                 CostKind.LAS, n, n, search, n_f=n_f,
                 extra_note=f"workspace precompute (counted separately)={pre}",

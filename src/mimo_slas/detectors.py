@@ -26,10 +26,10 @@ the instrumented totals line up with the closed-form cost models in
 A call that raises :class:`~mimo_slas.linalg.SingularMatrixError` has
 charged the matched filter and the Gram product but nothing after them;
 every caller that catches the error (``cli._ber_rows``, around
-``cli._trial_cost``) discards its counter.  ``montecarlo._block`` forms
-each trial's ``G`` and ``z`` once, for detection and for the search
-workspace, and calls :func:`equalize` with the row count ``nr`` that the
-skip's rounding bound needs.
+``cli._trial_cost``) discards its counter.  ``montecarlo._start``, the one
+start of every trial, forms a stack's ``G`` and ``z`` once, for detection
+and for the search workspace, and calls :func:`equalize` with the row
+count ``nr`` that the skip's rounding bound needs.
 """
 
 from __future__ import annotations

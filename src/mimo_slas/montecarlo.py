@@ -44,9 +44,9 @@ faulted in again by the next.  No output depends on it.
 Execution: cells that differ only in rho form a group and run over shared
 chunks of ``_CHUNK`` trial indices, the unit of the process pool and of the
 stop scan.  A chunk runs in blocks of consecutive trials.  The trials of a
-block are drawn, detected and precomputed once, in index order, for all the
-group's cells, in sub-blocks of at most ``_DRAW_BYTES`` (256 KiB) of complex
-channel, and one :func:`~mimo_slas.slas.run` call searches every
+block are drawn and started (:func:`_start`) once, in index order, for all
+the group's cells, in sub-blocks of at most ``_DRAW_BYTES`` (256 KiB) of
+complex channel, and one :func:`~mimo_slas.slas.run` call searches every
 (trial, cell) row of the block.  A block's trial count comes from one byte
 budget, ``_BLOCK_BYTES`` (1 MiB: about 60 trials of nine cells at 32x32,
 seven trials at 128x128); a block never crosses a chunk, and no output
@@ -74,8 +74,8 @@ import numpy as np
 
 from .channel import ChannelInstance, SnrSpec, assemble, sample_bpsk, sample_channel
 from .detectors import DetectorKind, equalize, mf, slice_bpsk
-from .linalg import SingularMatrixError, hermitian_transpose, mat_mul
-from .slas import SlasBlock, SlasTrace, SlasWorkspace, precompute, run, workspace
+from .linalg import FlopCounter, SingularMatrixError, hermitian_transpose, mat_mul
+from .slas import SlasBlock, SlasTrace, SlasWorkspace, check_steps, precompute, run, workspace
 
 __all__ = [
     "PointSpec",
@@ -242,8 +242,7 @@ class ExperimentConfig:
                            ("rho", self.rho), ("detector", self.detector),
                            ("las_enabled", self.las_enabled)):
             check_distinct(name, axis)
-        if self.n_f < 0:
-            raise ValueError(f"n_f must be >= 0, got {self.n_f}")
+        check_steps(self.n_f)
         if self.max_trials < 1:
             raise ValueError(f"max_trials must be >= 1, got {self.max_trials}")
         if self.min_bit_errors < 1:
@@ -564,27 +563,46 @@ def _block_trials(cells: tuple[PointSpec, ...]) -> int:
     return max(1, _BLOCK_BYTES // _trial_bytes(cells[0].nt, len(cells)))
 
 
-def _block(cells: tuple[PointSpec, ...], start: int, stop: int) -> dict:
-    """Outcomes of trials [start, stop) of cells that differ only in rho.
+def _start(p: PointSpec, h: np.ndarray, y: np.ndarray, counter: FlopCounter | None = None):
+    """How a stack of draws of cell ``p`` starts: ``(kept, decisions,
+    workspace, singular)``, the offsets of the trials that are not singular,
+    their +-1 decisions and stacked workspace (None with the search off),
+    and ``{offset: SingularMatrixError}`` of the others.  ``counter`` is
+    charged the products and the scaling: what ``precompute`` charges.
 
-    The inputs come from :func:`_draws`, a sub-block at a time, and are
-    detected once for all the cells.  With the search on, MF takes its
-    decisions from the sign of the workspaces' ``y_eff = 2 Re(H^H y)``,
-    which :func:`~mimo_slas.slas.precompute` forms as stacked products, so
-    ``H^H y`` is formed once, and MF forms no complex Gram matrix: its
-    ``H_real`` is the one real product ``2 S^T S`` over ``S = [Re H; Im
-    H]``.  With the search off, MF forms ``H^H y`` alone.  For ZF and MMSE
-    the sub-block's ``z = H^H y`` and complex ``G = H^H H`` are formed once,
-    as stacked products, and read by both detection
-    (:func:`~mimo_slas.detectors.equalize`, one trial at a time, so that
-    each trial's singularity verdict is its own) and the workspaces
-    (:func:`~mimo_slas.slas.workspace`, which takes ``2 Re(G)``).  A
-    singular trial is drawn once and marked aborted in every cell.  The
-    workspaces are copied into the block's stacked arrays, and one
-    :func:`run` then searches every (trial, cell) row.
-    """
-    p = cells[0]
+    MF slices ``y_eff`` of :func:`~mimo_slas.slas.precompute` (search on) or
+    ``H^H y`` (search off).  ZF and MMSE form the stack's ``z = H^H y`` and
+    ``G = H^H H`` once and read them for detection (:func:`equalize`, a
+    trial at a time, so each singularity verdict is the trial's own) and the
+    workspace (:func:`~mimo_slas.slas.workspace`)."""
+    if p.detector is DetectorKind.MF:
+        if not p.las_enabled:
+            return range(len(h)), slice_bpsk(mf(h, y)), None, {}
+        # y_eff = 2 Re(H^H y) keeps the sign of every entry of Re z,
+        # -0 included, so it slices as the matched filter does
+        ws = precompute(h, y, counter)
+        return range(len(h)), slice_bpsk(ws.y_eff), ws, {}
     snr = SnrSpec(p.snr_db)
+    z, gram = mf(h, y, counter), mat_mul(hermitian_transpose(h), h, counter)
+    kept, decisions, singular = [], [], {}
+    for k in range(len(h)):
+        try:
+            decisions.append(slice_bpsk(equalize(p.detector, gram[k], z[k], snr, p.nr)))
+            kept.append(k)
+        except SingularMatrixError as exc:
+            singular[k] = exc
+    if len(kept) < len(h):
+        gram, z = gram[kept], z[kept]
+    ws = workspace(gram, z, counter) if p.las_enabled and kept else None
+    return kept, np.array(decisions), ws, singular
+
+
+def _block(cells: tuple[PointSpec, ...], start: int, stop: int) -> dict:
+    """Outcomes of trials [start, stop) of cells that differ only in rho:
+    each sub-block of :func:`_draws` starts once, by :func:`_start`, for all
+    the cells (a singular trial is aborted in every cell), and one
+    :func:`run` searches every (trial, cell) row of the block."""
+    p = cells[0]
     outcomes: dict = {}
     searched: list[int] = []  # trials with a workspace, in stacking order
     if p.las_enabled:
@@ -592,32 +610,13 @@ def _block(cells: tuple[PointSpec, ...], start: int, stop: int) -> dict:
         y_eff, bits, truth = (np.empty((n, nt)) for _ in range(3))
         h_real = np.empty((n, nt, nt))
     for first, h, b_true, y in _draws(p.master_seed, p.nt, p.nr, p.snr_db, start, stop):
-        if p.detector is DetectorKind.MF:
-            kept = range(len(h))
-            if p.las_enabled:
-                # y_eff = 2 Re(H^H y) keeps the sign of every entry of Re z,
-                # -0 included, so it slices as the matched filter does
-                ws = precompute(h, y)
-                decisions = slice_bpsk(ws.y_eff)
-            else:
-                decisions = slice_bpsk(mf(h, y))
-        else:
-            z, gram = mf(h, y), mat_mul(hermitian_transpose(h), h)
-            kept, decisions = [], []
-            for k in range(len(h)):
-                try:
-                    decisions.append(slice_bpsk(equalize(p.detector, gram[k], z[k], snr, p.nr)))
-                    kept.append(k)
-                except SingularMatrixError as exc:
-                    outcomes.update(((c, first + k), exc) for c in cells)
-            if not kept:
-                continue
-            if len(kept) < len(h):
-                gram, z, b_true = gram[kept], z[kept], b_true[kept]
-            if p.las_enabled:
-                ws = workspace(gram, z)
-        if not p.las_enabled:
-            errors = np.count_nonzero(np.asarray(decisions) != b_true, axis=1)
+        kept, decisions, ws, singular = _start(p, h, y)
+        outcomes.update(((c, first + k), exc) for k, exc in singular.items() for c in cells)
+        if not kept:
+            continue
+        b_true = b_true[kept]
+        if ws is None:
+            errors = np.count_nonzero(decisions != b_true, axis=1)
             for k, e in zip(kept, errors.tolist()):
                 outcomes.update(((c, first + k), (e, None, None)) for c in cells)
             continue

@@ -1,10 +1,10 @@
 """Randomized property suite that replays the search kernel behind every BER.
 
 Instance i is trial i of its (nt, nt, snr) cell under the seed contract,
-drawn by :func:`mimo_slas.montecarlo.draw`, with nt = nr, snr and the
-detector taken round robin (see :func:`_instance`).  So its search is byte
-for byte the trace of ``montecarlo.trial`` at rho = 1 and n_f = 64 nt on that
-trial (README "Reproducibility").
+drawn by :func:`mimo_slas.montecarlo.draw` and started as every trial is,
+with nt = nr, snr and the detector taken round robin (see :func:`_instance`).
+So its search is byte for byte the trace of ``montecarlo.trial`` at rho = 1
+and n_f = 64 nt on that trial (README "Reproducibility").
 
 The instances of each antenna count run as one block of
 :func:`mimo_slas.slas.run` at selectivity factor 1, as the Monte-Carlo
@@ -33,12 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SnrSpec
-from .detectors import DetectorKind, equalize, mf, slice_bpsk
-from .linalg import hermitian_transpose, mat_mul
-from .montecarlo import draw
+from .detectors import DetectorKind
+from .montecarlo import PointSpec, _start, draw
 from .oracle import is_local_optimum, ml_bruteforce
-from .slas import SlasTrace, SlasWorkspace, gradient_full, likelihood, precompute, run, workspace
+from .slas import SlasTrace, SlasWorkspace, gradient_full, likelihood, run
 
 __all__ = ["CheckCounts", "run_selfcheck", "CHECK_NAMES"]
 
@@ -66,22 +64,19 @@ class CheckCounts:
 
 
 def _instance(instance: int, seed: int):
-    """Workspace and initial decision of one instance, from the inputs of
-    trial ``instance`` of its (nt, nt, snr) cell, formed as
-    ``montecarlo._block`` forms them: MF's workspace by :func:`precompute`
-    and its decision from the sign of ``y_eff``, ZF's and MMSE's by
-    :func:`workspace` of the ``G = H^H H`` and ``z = H^H y`` that give the
-    decision.  The key leaves out the detector;
-    the instances of one (nt, snr) still have distinct indices."""
+    """Workspace and initial decision of one instance: the start
+    (``montecarlo._start``, which every Monte-Carlo trial takes) of trial
+    ``instance`` of its (nt, nt, snr) cell.  The key leaves out the
+    detector; the instances of one (nt, snr) still have distinct indices."""
     nt = _NT_AXIS[instance % 3]
-    snr = SnrSpec(_SNR_AXIS[(instance // 3) % 3])
-    det = _DETECTOR_AXIS[(instance // 9) % 3]
-    inst = draw(seed, nt, nt, snr.snr_db, instance)
-    if det is DetectorKind.MF:
-        ws = precompute(inst.h, inst.y)
-        return ws, slice_bpsk(ws.y_eff)
-    z, gram = mf(inst.h, inst.y), mat_mul(hermitian_transpose(inst.h), inst.h)
-    return workspace(gram, z), slice_bpsk(equalize(det, gram, z, snr, nt))
+    point = PointSpec(nt=nt, nr=nt, snr_db=_SNR_AXIS[(instance // 3) % 3],
+                      detector=_DETECTOR_AXIS[(instance // 9) % 3], las_enabled=True,
+                      rho=1.0, n_f=64 * nt, max_trials=1, min_bit_errors=1, master_seed=seed)
+    inst = draw(seed, nt, nt, point.snr_db, instance)
+    _, b0, ws, singular = _start(point, inst.h[None], inst.y[None])
+    if singular:
+        raise singular[0]
+    return SlasWorkspace(ws.y_eff[0], ws.h_real[0]), b0[0]
 
 
 def _traces(cases: list, fault: str | None) -> list[SlasTrace]:

@@ -69,6 +69,7 @@ __all__ = [
     "workspace",
     "likelihood",
     "gradient_full",
+    "check_steps",
     "run",
 ]
 
@@ -217,6 +218,13 @@ def gradient_full(ws: SlasWorkspace, b: np.ndarray) -> np.ndarray:
     return ws.y_eff - ws.h_real @ b
 
 
+def check_steps(n_f: int) -> None:
+    """Refuse a step count outside [0, 2**62): :func:`_search` adds a wait
+    of up to ``n_f + 1`` steps to a step below ``n_f``, in int64."""
+    if not 0 <= n_f < 2**62:
+        raise ValueError(f"n_f must be >= 0 and below 2**62, got {n_f}")
+
+
 def run(
     ws: SlasWorkspace,
     b0: np.ndarray,
@@ -237,7 +245,7 @@ def run(
         ws: precomputed workspace, one trial or a stack of trials.
         b0: initial +-1 bits (the linear detector's sliced output).
         rho: selectivity factor; the threshold is rho * zeta.
-        n_f: number of steps (antenna visits); 0 is allowed.
+        n_f: number of steps (antenna visits), 0 <= n_f < 2**62.
         b_true: optional true payload (+-1); enables bit-error tracking.
         counter: optional flop counter, charged what each row does: the
             initial gradient 2*nt^2, the thresholds nt, and 2*nt + 1 per
@@ -247,8 +255,7 @@ def run(
         (final bits, :class:`SlasTrace`) for a single search;
         (final bits of shape (rows, nt), :class:`SlasBlock`) for a block.
     """
-    if n_f < 0:
-        raise ValueError(f"n_f must be >= 0, got {n_f}")
+    check_steps(n_f)
     rhos = np.asarray(rho, dtype=np.float64)
     if not np.all(rhos >= 0):  # NaN fails the comparison too
         raise ValueError(f"rho must be >= 0, got {rho}")

@@ -16,9 +16,11 @@ import sys
 import numpy as np
 import pytest
 
-from mimo_slas import cli
-from mimo_slas.montecarlo import TraceAggregate
+from mimo_slas import cli, montecarlo
+from mimo_slas.detectors import DetectorKind
+from mimo_slas.montecarlo import PointSpec, TraceAggregate
 from mimo_slas.cli import PRESETS, _parse_number_list, main
+from mimo_slas.slas import SlasBlock
 
 BER_RE = re.compile(r"^\d\.\d{5}e[+-]\d{2,}$")
 
@@ -230,6 +232,20 @@ class TestBerCommands:
         assert exc_info.value.code == 2
         err = capsys.readouterr().err
         assert f"cannot write --out {path!r}: " + message.format(tmp=tmp_path) in err
+
+
+def test_cost_of_a_long_search_expands_no_row(capsys, monkeypatch):
+    # trial 0's search is priced as a block of one row: its row's per-step
+    # trace would take a flag per step (931 GiB at 10**12 steps)
+    def expand(self, i):
+        raise AssertionError(f"row {i} was expanded")
+
+    monkeypatch.setattr(SlasBlock, "row", expand)
+    _, out = _run(["ber-snr", "--nt", "2", "--nr", "2", "--las", "on", "--detector", "mf",
+                   "--snr-list", "10", "--trials", "50", "--steps", str(10**12)], capsys)
+    (row,) = _parse_csv(out)
+    assert row["n_f"] == str(10**12)
+    assert row["flops_measured"] == "133"  # as at 100 steps: trial 0 converges
 
 
 class TestSeedPrecedence:
@@ -463,6 +479,30 @@ class TestFlops:
         parts.update((key, int(row["flops_measured"])) for key, row in by_kind.items())
         assert int(ber_row["flops_measured"]) == sum(parts[key] for key in flops_rows)
 
+    @pytest.mark.parametrize("detector", list(DetectorKind))
+    def test_cost_prices_the_workspace_the_sweep_searched(self, detector, monkeypatch):
+        # ZF and MMSE search 2 Re(G) of the complex G their detection formed,
+        # which differs by rounding from MF's real product 2 S^T S
+        p = PointSpec(nt=8, nr=8, snr_db=10.0, detector=detector, las_enabled=True,
+                      rho=0.9, n_f=16, max_trials=4, min_bit_errors=1, master_seed=4)
+        searched = []
+
+        def spy(real_run):
+            def run(ws, b0, *args, **kwargs):
+                searched.append((ws, b0))
+                return real_run(ws, b0, *args, **kwargs)
+            return run
+
+        monkeypatch.setattr(cli, "run", spy(cli.run))
+        monkeypatch.setattr(montecarlo, "run", spy(montecarlo.run))
+        cli._trial_cost(p)
+        montecarlo._block((p,), 0, p.max_trials)
+        (priced, b_priced), (swept, b_swept) = searched
+        assert b_priced.shape == (1, 8) and len(b_swept) == 4
+        for got, want in [(priced.h_real, swept.h_real), (priced.y_eff, swept.y_eff),
+                          (b_priced, b_swept)]:
+            assert got[0].tobytes() == want[0].tobytes()
+
     # --benchmark and --reps fed a wall-clock timer that perfbench replaces
     @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--config", "f.json"],
                                       ["--benchmark"], ["--reps", "5"]])
@@ -543,6 +583,26 @@ class TestUsageErrors:
             main(["flops", "--preset", "fig10"])
         assert exc_info.value.code == 2
         assert "invalid choice: 'fig10'" in capsys.readouterr().err
+
+    # the search counts steps in int64: n_f + 1 once overflowed there
+    # (OverflowError, exit 1), or a trace's arrays refused a dimension
+    # without naming the field
+    @pytest.mark.parametrize("argv", [
+        ["ber-snr", "--steps", str(10**30)],
+        ["ber-snr", "--config", "n_f.json"],
+        ["trace", "--steps", str(10**30)],
+        ["flops", "--n-list", "2", "--steps-list", "1e30"],
+    ])
+    def test_step_count_beyond_int64_exits_2(self, argv, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "n_f.json").write_text(json.dumps({"n_f": 1e308}))
+        cell = ["--nt", "2", "--nr", "2", "--snr-list", "10", "--trials", "2"]
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv + (cell if argv[0] != "flops" else []))
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "n_f must be >= 0 and below 2**62, got 1" in captured.err
+        assert captured.out == ""
 
     def test_bad_list_syntax_exits_2(self):
         with pytest.raises(SystemExit) as exc_info:

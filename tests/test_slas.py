@@ -313,6 +313,20 @@ class TestRun:
         with pytest.raises(ValueError):
             run(ws, np.ones(5), rho=1.0, n_f=4)
 
+    def test_step_count_stays_in_int64(self):
+        # the search adds a wait of up to n_f + 1 steps to a step below n_f:
+        # 2**62 - 1 steps run (to the fixed point a short search reaches),
+        # 2**62 once overflowed and are refused, naming n_f
+        ws, b0, _ = _random_setup(4, 4, 31, snr_db=0.0)
+        ws = SlasWorkspace(y_eff=ws.y_eff[None], h_real=ws.h_real[None])
+        final, block = run(ws, b0[None], [1.0], 2**62 - 1)
+        short, short_block = run(ws, b0[None], [1.0], 400)
+        assert final.tobytes() == short.tobytes()
+        assert block.flip_step.tolist() == short_block.flip_step.tolist() == [0, 1, 4]
+        with pytest.raises(ValueError, match=r"n_f must be >= 0 and below 2\*\*62, got "
+                                             + str(2**62)):
+            run(ws, b0[None], [1.0], 2**62)
+
     @pytest.mark.parametrize("rho", [float("nan"), [1.0, float("nan")]])
     def test_rejects_nan_rho(self, rho):
         # NaN fails every flip test, so the search would silently never move
