@@ -24,7 +24,7 @@ Shared conventions:
   grid of one ``ExperimentConfig``, so any config axis may be a scalar or a
   list.
 * List-valued flags accept ``a,b,c`` and inclusive ranges ``start:step:stop``;
-  ``--snr-list -10:5:0`` may be written with a space or with ``=``.
+  ``--snr-list -10:5:0`` and ``--snr -1e1`` may take a space or ``=``.
 * ``--jobs N`` parallelizes trials without changing any output byte; N must
   be positive and is capped at the CPU count.
 * Output is CSV (with a ``# schema_version=1`` comment line) to ``--out`` or
@@ -173,11 +173,11 @@ def _jobs(text: str) -> int:
 
 
 def _attach_negative_lists(argv: list[str]) -> list[str]:
-    """``--snr-list -10:5:0`` -> ``--snr-list=-10:5:0``, which argparse would
-    otherwise read as an option."""
+    """``--snr-list -10:5:0`` -> ``--snr-list=-10:5:0``, and ``--snr -1e1`` ->
+    ``--snr=-1e1``, which argparse would otherwise read as options."""
     out: list[str] = []
     for token in argv:
-        if out[-1:] == ["--snr-list"] and re.match(r"-[\d.]", token):
+        if out[-1:] in (["--snr"], ["--snr-list"]) and re.match(r"-[\d.]", token):
             out[-1] += "=" + token
         else:
             out.append(token)

@@ -51,8 +51,9 @@ complex channel, and one :func:`~mimo_slas.slas.run` call searches every
 budget, ``_BLOCK_BYTES`` (1 MiB: about 60 trials of nine cells at 32x32,
 seven trials at 128x128); a block never crosses a chunk, and no output
 depends on either size.  :func:`trial` stays the unit of work: every counted
-(cell, trial) pair is one call, and the block is computed by the first call
-that needs it.  Sweeps and traces run their chunks through one loop,
+(cell, trial) pair is one call, given the chunk (``_Chunk``) that holds the
+block it reads, and the block is computed by the first call that needs it,
+inside that call.  Sweeps and traces run their chunks through one loop,
 :func:`_in_order`, which starts a process pool only when ``n_jobs > 1`` and
 there is more than one chunk.  A sweep feeds it every group's chunks in
 turn; a trace sums each chunk into running totals as it arrives.
@@ -66,7 +67,7 @@ import math
 import numbers
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import closing, contextmanager
+from contextlib import closing
 from dataclasses import dataclass, fields, replace
 from itertools import chain, islice
 
@@ -101,11 +102,6 @@ _BLOCK_BYTES = 1 << 20
 # What one sub-block of the draw and of detection may hold of complex channel
 # (see _draws): 16 trials at 32x32, one at 128x128.
 _DRAW_BYTES = 1 << 18
-# The outcomes of the current block, {(point, trial_index): outcome}, and the
-# chunk being run, [(cells, start, stop)]; both are emptied at the end of
-# every chunk.
-_SHARED: dict = {}
-_PLAN: list = []
 # glibc's mallopt parameters (malloc.h) and the values a trial process sets
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _HEAP_MMAP_THRESHOLD = 32 << 20
@@ -498,8 +494,20 @@ def draw(
     return assemble(sample_channel(nt, nr, rng), sample_bpsk(nt, snr.es, rng), snr, rng)
 
 
+class _Chunk:
+    """Trials [start, stop) of cells that differ only in rho, as one chunk
+    runs them; it holds the outcomes (see :func:`_block`) of one block."""
+
+    def __init__(self, cells, start: int, stop: int):
+        self.cells, self.stop = tuple(cells), stop
+        self.row = {c: r for r, c in enumerate(self.cells)}  # each cell's row of errors
+        self.first = self.end = start  # the held block's trials [first, end)
+        self.outcomes = None
+
+
 def trial(
-    point: PointSpec, trial_index: int, record_trace: bool = False
+    point: PointSpec, trial_index: int, record_trace: bool = False, *,
+    chunk: _Chunk | None = None,
 ) -> tuple[int, SlasTrace | None]:
     """Run one trial; returns (bit errors, optional search trace).
 
@@ -508,27 +516,26 @@ def trial(
     from one step to the next) is asserted on every trial.  A numerically
     singular channel raises :class:`~mimo_slas.linalg.SingularMatrixError`.
 
-    Trials run in blocks (see :func:`_block`).  Inside a chunk planned by
-    ``_ber_chunk``/``_trace_chunk``, the first call for a trial that has no
-    outcome yet computes the block that starts there, for every cell of the
-    chunk, and the calls after it read their outcome from the block; any
-    other call is a block of one that is not kept.  An outcome is the same
-    in every block.
+    Trials run in blocks held by a chunk: the first call for a trial past
+    the held block drops it and computes the block that starts there, for
+    every cell of the chunk.  ``_ber_chunk`` and ``_trace_chunk`` pass
+    theirs; without one the trial is a chunk of one.  An outcome is the
+    same in every block.
     """
-    outcome = _SHARED.get((point, trial_index))
-    if outcome is None:
-        planned, start, end = _PLAN[0] if _PLAN else ((), 0, 0)
-        if point in planned and start <= trial_index < end:
-            _SHARED.clear()  # drop the previous block before computing the next
-            _SHARED.update(_block(planned, trial_index,
-                                  min(end, trial_index + _block_trials(planned))))
-            outcome = _SHARED[(point, trial_index)]
-        else:
-            outcome = _block((point,), trial_index, trial_index + 1)[(point, trial_index)]
-    if isinstance(outcome, SingularMatrixError):
-        raise outcome.with_traceback(None)
-    errors, block, row = outcome
-    return errors, (block.row(row) if record_trace and block is not None else None)
+    if chunk is None:
+        chunk = _Chunk((point,), trial_index, trial_index + 1)
+    if not chunk.first <= trial_index < chunk.end:
+        chunk.outcomes = None  # so that two blocks are never held at once
+        chunk.first = trial_index
+        chunk.end = min(chunk.stop, trial_index + _block_trials(chunk.cells))
+        chunk.outcomes = _block(chunk.cells, chunk.first, chunk.end)
+    errors, singular, block, searched = chunk.outcomes
+    cell, k = chunk.row[point], trial_index - chunk.first
+    count = int(errors[cell, k])
+    if count < 0:
+        raise singular[k].with_traceback(None)
+    return count, (block.row(int(searched[k]) * len(chunk.cells) + cell)
+                   if record_trace and block is not None else None)
 
 
 @functools.cache
@@ -597,45 +604,48 @@ def _start(p: PointSpec, h: np.ndarray, y: np.ndarray, counter: FlopCounter | No
     return kept, np.array(decisions), ws, singular
 
 
-def _block(cells: tuple[PointSpec, ...], start: int, stop: int) -> dict:
+def _block(cells: tuple[PointSpec, ...], start: int, stop: int):
     """Outcomes of trials [start, stop) of cells that differ only in rho:
-    each sub-block of :func:`_draws` starts once, by :func:`_start`, for all
-    the cells (a singular trial is aborted in every cell), and one
-    :func:`run` searches every (trial, cell) row of the block."""
-    p = cells[0]
-    outcomes: dict = {}
-    searched: list[int] = []  # trials with a workspace, in stacking order
+    ``(errors, singular, block, searched)``, each cell's (row) bit errors in
+    each trial (column), -1 where it is aborted; ``{offset:
+    SingularMatrixError}``; the search's :class:`SlasBlock` (None if nothing
+    was searched); and each trial's index among the searched ones (-1 if
+    none), so trial ``start + k`` of cell c is row ``searched[k] *
+    len(cells) + c``.  Each sub-block of :func:`_draws` starts once, by
+    :func:`_start`, for all the cells (a singular trial is aborted in every
+    cell), and one :func:`run` searches every (trial, cell) row."""
+    p, n = cells[0], stop - start
+    errors, searched = np.full((len(cells), n), -1), np.full(n, -1)
+    singular, count = {}, 0  # count: the trials searched so far
     if p.las_enabled:
-        n, nt = stop - start, p.nt
-        y_eff, bits, truth = (np.empty((n, nt)) for _ in range(3))
-        h_real = np.empty((n, nt, nt))
+        y_eff, bits, truth = (np.empty((n, p.nt)) for _ in range(3))
+        h_real = np.empty((n, p.nt, p.nt))
     for first, h, b_true, y in _draws(p.master_seed, p.nt, p.nr, p.snr_db, start, stop):
-        kept, decisions, ws, singular = _start(p, h, y)
-        outcomes.update(((c, first + k), exc) for k, exc in singular.items() for c in cells)
+        kept, decisions, ws, lost = _start(p, h, y)
+        singular.update((first - start + k, exc) for k, exc in lost.items())
         if not kept:
             continue
-        b_true = b_true[kept]
+        offsets, b_true = np.asarray(kept) + (first - start), b_true[kept]
         if ws is None:
-            errors = np.count_nonzero(decisions != b_true, axis=1)
-            for k, e in zip(kept, errors.tolist()):
-                outcomes.update(((c, first + k), (e, None, None)) for c in cells)
+            errors[:, offsets] = np.count_nonzero(decisions != b_true, axis=1)
             continue
-        rows = slice(len(searched), len(searched) + len(kept))
+        rows = slice(count, count + len(kept))
         y_eff[rows], h_real[rows] = ws.y_eff, ws.h_real
         bits[rows], truth[rows] = decisions, b_true
-        searched += [first + k for k in kept]
-    if searched:
-        k = len(searched)
-        ws = SlasWorkspace(y_eff=y_eff[:k], h_real=h_real[:k])
-        final, block = run(ws, bits[:k], [c.rho for c in cells], p.n_f, b_true=truth[:k])
-        _check_ascent(block, cells, searched)
-        wrong = final != np.repeat(truth[:k], len(cells), axis=0)
-        for row, errors in enumerate(np.count_nonzero(wrong, axis=1).tolist()):
-            outcomes[cells[row % len(cells)], searched[row // len(cells)]] = (errors, block, row)
-    return outcomes
+        searched[offsets] = np.arange(rows.start, rows.stop)
+        count = rows.stop
+    block = None
+    if count:
+        ws = SlasWorkspace(y_eff=y_eff[:count], h_real=h_real[:count])
+        final, block = run(ws, bits[:count], [c.rho for c in cells], p.n_f, b_true=truth[:count])
+        columns = np.flatnonzero(searched >= 0)  # offsets of the searched trials, in order
+        _check_ascent(block, cells, start + columns)
+        wrong = final != np.repeat(truth[:count], len(cells), axis=0)
+        errors[:, columns] = np.count_nonzero(wrong, axis=1).reshape(count, len(cells)).T
+    return errors, singular, block, searched
 
 
-def _check_ascent(block: SlasBlock, cells: tuple[PointSpec, ...], trials: list[int]) -> None:
+def _check_ascent(block: SlasBlock, cells: tuple[PointSpec, ...], trials: np.ndarray) -> None:
     """At rho >= 1 no flip may lower a row's likelihood: raise naming the
     first record (in trial, then cell order) whose gain is below -1e-9."""
     ascent = np.array([c.rho >= 1.0 for c in cells])
@@ -653,30 +663,19 @@ def _check_ascent(block: SlasBlock, cells: tuple[PointSpec, ...], trials: list[i
         )
 
 
-@contextmanager
-def _planned(cells: list[PointSpec], start: int, stop: int):
-    """Let :func:`trial` compute whole blocks of this chunk's cells and trials."""
-    _PLAN.append((tuple(cells), start, stop))
-    try:
-        yield
-    finally:
-        _PLAN.clear()
-        _SHARED.clear()
-
-
 def _ber_chunk(points: list[PointSpec], start: int, stop: int) -> np.ndarray:
     """Error counts of each cell (rows) for trials [start, stop) (columns),
     index-major so that the cells share each trial's inputs; -1 marks an
     aborted trial."""
     _hold_heap()
     out = np.empty((len(points), stop - start), dtype=np.int64)
-    with _planned(points, start, stop):
-        for i in range(start, stop):
-            for row, point in enumerate(points):
-                try:
-                    out[row, i - start] = trial(point, i)[0]
-                except SingularMatrixError:
-                    out[row, i - start] = -1
+    chunk = _Chunk(points, start, stop)
+    for i in range(start, stop):
+        for row, point in enumerate(points):
+            try:
+                out[row, i - start] = trial(point, i, chunk=chunk)[0]
+            except SingularMatrixError:
+                out[row, i - start] = -1
     return out
 
 
@@ -798,13 +797,13 @@ def _trace_chunk(point: PointSpec, start: int, stop: int):
     _hold_heap()
     lams = np.empty((stop - start, point.n_f + 1), dtype=np.float64)
     err_sum = np.zeros(point.n_f + 1, dtype=np.int64)
-    with _planned([point], start, stop):
-        for i in range(start, stop):
-            _, tr = trial(point, i, record_trace=True)
-            lams[i - start, 0] = tr.initial_likelihood
-            lams[i - start, 1:] = tr.likelihood
-            err_sum[0] += tr.initial_bit_errors
-            err_sum[1:] += tr.bit_errors
+    chunk = _Chunk((point,), start, stop)
+    for i in range(start, stop):
+        _, tr = trial(point, i, record_trace=True, chunk=chunk)
+        lams[i - start, 0] = tr.initial_likelihood
+        lams[i - start, 1:] = tr.likelihood
+        err_sum[0] += tr.initial_bit_errors
+        err_sum[1:] += tr.bit_errors
     return lams, err_sum
 
 

@@ -691,6 +691,16 @@ def test_negative_snr_list_works_as_written(command, capsys):
     assert {r["snr_db"] for r in _parse_csv(spaced)} == {"-10", "-5", "0"}
 
 
+def test_negative_snr_in_exponent_form_works_as_written(capsys):
+    # argparse reads "-10" as a number but "-1e1" as an option
+    argv = ["ber-antennas", "--n-list", "2,3", "--detector", "mf", "--las", "on",
+            "--steps", "4", "--trials", "20", "--min-errors", "1000000000", "--seed", "3"]
+    _, joined = _run(argv + ["--snr=-1e1"], capsys)
+    _, spaced = _run(argv + ["--snr", "-1e1"], capsys)
+    assert spaced == joined
+    assert {r["snr_db"] for r in _parse_csv(spaced)} == {"-10"}
+
+
 class TestJobs:
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_non_positive_jobs_exit_2(self, value, capsys):

@@ -7,6 +7,7 @@ import platform
 import re
 import resource
 import tracemalloc
+import weakref
 from contextlib import closing
 from dataclasses import replace
 
@@ -278,10 +279,9 @@ class TestBlockDraw:
                 assert got.tobytes() == want.tobytes(), k
             assert bits[k].tobytes() == slice_bpsk(detect(kind, h[k], y[k], snr)).tobytes(), k
 
-    def test_singular_trial_among_regular_ones(self, monkeypatch):
-        # one trial of a 2x2 ZF sub-block loses a channel column: it alone is
-        # aborted, in every cell, and the others keep their per-trial outcome
-        bad = 5
+    @staticmethod
+    def _lose_a_column(monkeypatch, bad):
+        """Make trial ``bad``'s channel lose its first column, in every draw."""
         real_draws = montecarlo._draws
 
         def draws(*args):
@@ -292,26 +292,75 @@ class TestBlockDraw:
                 yield first, h, b_true, y
 
         monkeypatch.setattr(montecarlo, "_draws", draws)
+        return draws
+
+    def test_singular_trial_among_regular_ones(self, monkeypatch):
+        # one trial of a 2x2 ZF sub-block loses a channel column: it alone is
+        # aborted, in every cell, and the others keep their per-trial outcome
+        bad = 5
+        draws = self._lose_a_column(monkeypatch, bad)
         cells = tuple(_point(nt=2, nr=2, detector=DetectorKind.ZF, rho=rho, snr_db=4.0)
                       for rho in (0.8, 1.0))
         p = cells[0]
-        outcomes = montecarlo._block(cells, 0, 12)
+        errors, singular, _, searched = montecarlo._block(cells, 0, 12)
         [(_, h, b_true, y)] = list(draws(p.master_seed, 2, 2, p.snr_db, 0, 12))
         snr = SnrSpec(p.snr_db)
         with pytest.raises(SingularMatrixError):
             detect(DetectorKind.ZF, h[bad], y[bad], snr)
-        for cell in cells:
-            assert isinstance(outcomes[cell, bad], SingularMatrixError)
+        assert list(singular) == [bad] and isinstance(singular[bad], SingularMatrixError)
+        assert searched.tolist() == [0, 1, 2, 3, 4, -1, 5, 6, 7, 8, 9, 10]
+        for c, cell in enumerate(cells):
+            assert errors[c, bad] == -1
             for k in set(range(12)) - {bad}:
                 b0 = slice_bpsk(detect(DetectorKind.ZF, h[k], y[k], snr))
                 final, _ = run(precompute(h[k], y[k]), b0, cell.rho, cell.n_f)
                 expected = int(np.count_nonzero(final != b_true[k]))
-                assert outcomes[cell, k][0] == expected, (cell.rho, k)
+                assert errors[c, k] == expected, (cell.rho, k)
         cfg = ExperimentConfig(nt=2, nr=2, snr_db=4.0, detector="zf", rho=[0.8, 1.0],
                                n_f=12, max_trials=12, min_bit_errors=10**9)
         for result in run_sweep(cfg):
             assert result.aborted_trials == 1
             assert result.trials_run == 12
+
+    def test_a_chunk_gives_every_trial_its_standalone_outcome(self, monkeypatch):
+        # a ZF chunk of three rho cells in blocks of five trials, the first
+        # block holding a singular trial: each (cell, trial) read from the
+        # chunk is the trial run alone, so no block row is read for another
+        # trial past the aborted one
+        bad = 2
+        self._lose_a_column(monkeypatch, bad)
+        cells = tuple(_point(nt=2, nr=2, detector=DetectorKind.ZF, rho=rho, snr_db=4.0)
+                      for rho in (0.5, 1.0, 1.5))
+        monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", 5 * montecarlo._trial_bytes(2, 3))
+        blocks = []
+        real_block = montecarlo._block
+
+        def spy(cells, start, stop):
+            if len(cells) == 3:
+                blocks.append((start, stop))
+            return real_block(cells, start, stop)
+
+        monkeypatch.setattr(montecarlo, "_block", spy)
+
+        def outcome(p, i, record_trace, **chunk):
+            try:
+                errors, tr = trial(p, i, record_trace, **chunk)
+            except SingularMatrixError as exc:
+                return "singular", str(exc)
+            if tr is None:
+                return errors, None
+            return errors, (tr.initial_likelihood, tr.likelihood.tobytes(),
+                            tr.bit_errors.tobytes())
+
+        for record_trace in (False, True):
+            blocks.clear()
+            chunk = montecarlo._Chunk(cells, 0, 12)
+            for i in range(12):
+                for p in cells:
+                    alone = outcome(p, i, record_trace)
+                    assert outcome(p, i, record_trace, chunk=chunk) == alone, (p.rho, i)
+                    assert (alone[0] == "singular") == (i == bad)
+            assert blocks == [(0, 5), (5, 10), (10, 12)]
 
 
 class TestTrial:
@@ -702,29 +751,29 @@ class TestRhoGroups:
         assert [r.aborted_trials for r in results] == [600] * 9
         assert sorted(draws) == list(range(600))
 
-    def test_at_most_one_block_is_kept_and_chunks_leave_none(self, monkeypatch):
+    def test_each_block_is_computed_once_and_chunks_keep_none(self, monkeypatch):
+        # a block is dropped before the next is computed, and a chunk keeps
+        # none once it returns
         p = _point(max_trials=20)
-        trial(p, 0)
-        trial(p, 1)
-        assert montecarlo._SHARED == {}  # outside a chunk: a block of one, not kept
         monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", 7 * montecarlo._trial_bytes(p.nt, 1))
-        kept = []
-        real_trial = montecarlo.trial
+        computed, held = [], []
+        real_block = montecarlo._block
 
-        def spy(point, index, record_trace=False):
-            result = real_trial(point, index, record_trace)
-            kept.append(tuple(sorted(i for _, i in montecarlo._SHARED)))
-            return result
+        def spy(cells, start, stop):
+            assert all(ref() is None for ref in held), "two blocks are held"
+            computed.append((start, stop))
+            outcomes = real_block(cells, start, stop)
+            held.append(weakref.ref(outcomes[2]))
+            return outcomes
 
-        monkeypatch.setattr(montecarlo, "trial", spy)
+        monkeypatch.setattr(montecarlo, "_block", spy)
         run_point(p)
-        assert montecarlo._SHARED == {}
-        assert sorted(set(kept)) == [tuple(range(0, 7)), tuple(range(7, 14)),
-                                     tuple(range(14, 20))]
-        kept.clear()
+        assert computed == [(0, 7), (7, 14), (14, 20)]
+        assert all(ref() is None for ref in held)
+        computed.clear()
         run_trace(replace(p, max_trials=4))
-        assert montecarlo._SHARED == {}
-        assert set(kept) == {(0, 1, 2, 3)}
+        assert computed == [(0, 4)]
+        assert all(ref() is None for ref in held)
 
 
 class TestBlocks:
