@@ -24,7 +24,8 @@ Shared conventions:
   grid of one ``ExperimentConfig``, so any config axis may be a scalar or a
   list.
 * List-valued flags accept ``a,b,c`` and inclusive ranges ``start:step:stop``;
-  ``--snr-list -10:5:0`` and ``--snr -1e1`` may take a space or ``=``.
+  ``--snr-list -10:5:0`` and ``--snr -1e1`` may take a space or ``=``, and so
+  may ``-inf`` and ``-nan``, which are then rejected with their reason.
 * ``--jobs N`` parallelizes trials without changing any output byte; N must
   be positive and is capped at the CPU count.
 * Output is CSV (with a ``# schema_version=1`` comment line) to ``--out`` or
@@ -173,11 +174,13 @@ def _jobs(text: str) -> int:
 
 
 def _attach_negative_lists(argv: list[str]) -> list[str]:
-    """``--snr-list -10:5:0`` -> ``--snr-list=-10:5:0``, and ``--snr -1e1`` ->
-    ``--snr=-1e1``, which argparse would otherwise read as options."""
+    """``--snr-list -10:5:0`` -> ``--snr-list=-10:5:0``, and ``--snr -1e1`` or
+    ``--snr -inf`` -> ``--snr=-1e1`` or ``--snr=-inf``, which argparse would
+    otherwise read as options."""
     out: list[str] = []
     for token in argv:
-        if out[-1:] in (["--snr"], ["--snr-list"]) and re.match(r"-[\d.]", token):
+        if out[-1:] in (["--snr"], ["--snr-list"]) and re.match(
+                r"-(?:[\d.]|(?:inf(?:inity)?|nan)\b)", token, re.IGNORECASE):
             out[-1] += "=" + token
         else:
             out.append(token)

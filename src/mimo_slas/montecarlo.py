@@ -42,12 +42,17 @@ so that the buffers of one block are not given back to the system and
 faulted in again by the next.  No output depends on it.
 
 Execution: cells that differ only in rho form a group and run over shared
-chunks of ``_CHUNK`` trial indices, the unit of the process pool and of the
-stop scan.  A chunk runs in blocks of consecutive trials.  The trials of a
-block are drawn and started (:func:`_start`) once, in index order, for all
-the group's cells, in sub-blocks of at most ``_DRAW_BYTES`` (256 KiB) of
-complex channel, and one :func:`~mimo_slas.slas.run` call searches every
-(trial, cell) row of the block.  A block's trial count comes from one byte
+chunks of consecutive trial indices, the unit of the process pool and of the
+stop scan.  A trace's chunks hold ``_CHUNK`` trials.  A sweep's chunks hold
+``_CHUNK`` until each active cell has an error, then are sized from the
+cells' running error rates within ``[_MIN_CHUNK, _CHUNK]``, so that the
+chunks in flight past the slowest cell's stop stay short; the stop scan
+stops on the exact trial, so no chunk boundary reaches an output.  A chunk
+runs in blocks of consecutive trials.  The trials of a block are drawn and
+started (:func:`_start`) once, in index order, for all the group's cells,
+in sub-blocks of at most ``_DRAW_BYTES`` (256 KiB) of complex channel, and
+one :func:`~mimo_slas.slas.run` call searches every (trial, cell) row of
+the block.  A block's trial count comes from one byte
 budget, ``_BLOCK_BYTES`` (1 MiB: about 60 trials of nine cells at 32x32,
 seven trials at 128x128); a block never crosses a chunk, and no output
 depends on either size.  :func:`trial` stays the unit of work: every counted
@@ -55,8 +60,11 @@ depends on either size.  :func:`trial` stays the unit of work: every counted
 block it reads, and the block is computed by the first call that needs it,
 inside that call.  Sweeps and traces run their chunks through one loop,
 :func:`_in_order`, which starts a process pool only when ``n_jobs > 1`` and
-there is more than one chunk.  A sweep feeds it every group's chunks in
-turn; a trace sums each chunk into running totals as it arrives.
+there is more than one chunk, and then keeps one chunk queued behind the
+``n_jobs`` running ones.  A sweep feeds it every group's chunks in turn,
+after loading ``numpy.random`` (with each group's seed prefix) in its own
+process, which the pool's workers inherit at fork; a trace sums each chunk
+into running totals as it arrives.
 """
 
 from __future__ import annotations
@@ -96,6 +104,9 @@ __all__ = [
 
 MAX_GRID_POINTS = 10_000
 _CHUNK = 512
+# The shortest chunk of a sweep sized from its error rates (see _chunk_trials):
+# about one block of nine cells at 32x32
+_MIN_CHUNK = 64
 # What one block of searches may hold: its trials' stacked H_real and the
 # state of its (trial, rho) rows (see _trial_bytes).
 _BLOCK_BYTES = 1 << 20
@@ -680,19 +691,19 @@ def _ber_chunk(points: list[PointSpec], start: int, stop: int) -> np.ndarray:
 
 
 def _scan(counts, state):
-    """Feed one chunk into the running (errors, aborted, trials) totals.
+    """Feed one chunk into the running (errors, aborted, trials) totals, in
+    trial order, up to the trial whose errors reach the floor.
 
     Returns True when the stop condition fired inside this chunk.
     """
-    for value in counts:
-        state["trials"] += 1
-        if value < 0:
-            state["aborted"] += 1
-        else:
-            state["errors"] += int(value)
-        if state["errors"] >= state["floor"]:
-            return True
-    return False
+    aborted = counts < 0
+    errors = state["errors"] + np.cumsum(np.where(aborted, 0, counts))
+    fired = int(np.searchsorted(errors, state["floor"]))  # first trial at the floor
+    taken = min(fired + 1, len(counts))
+    state["trials"] += taken
+    state["aborted"] += int(np.count_nonzero(aborted[:taken]))
+    state["errors"] = int(errors[taken - 1])
+    return fired < len(counts)
 
 
 def _finish(point: PointSpec, state: dict) -> BerPoint:
@@ -703,19 +714,38 @@ def _finish(point: PointSpec, state: dict) -> BerPoint:
                     flagged=errors < point.min_bit_errors or aborted > 0)
 
 
+def _chunk_trials(states: list[dict], start: int, n_jobs: int) -> int:
+    """Trials of a sweep's next chunk, which starts at ``start``.
+
+    ``_CHUNK`` until every active cell (``states``) has an error.  Then the
+    trials still needed are estimated from the running rates, as the most,
+    over the cells, of ``trials * floor / errors - start``, and shared over
+    the ``n_jobs + 1`` chunks a pool keeps in flight, within ``[_MIN_CHUNK,
+    _CHUNK]``: the chunks queued past the slowest cell's stop stay short, and
+    no chunk is too short for its blocks to vectorise.
+    """
+    if any(s["errors"] == 0 for s in states):
+        return _CHUNK
+    need = max(s["trials"] * s["floor"] / s["errors"] for s in states) - start
+    return min(_CHUNK, max(_MIN_CHUNK, math.ceil(need / (n_jobs + 1))))
+
+
 def _in_order(run, chunks, n_jobs: int):
     """Yield ``(args, run(*args))`` for each ``args`` of ``chunks``, in order.
 
-    At most ``n_jobs`` chunks are in flight, and the next is read only when a
-    slot is free.  A pool starts only when ``n_jobs > 1`` and there is more
-    than one chunk; otherwise each chunk runs in process as it is read.  On
+    In a pool at most ``n_jobs + 1`` chunks are in flight: one queued behind
+    the running ones, so that a worker which finishes a chunk starts the next
+    at once, not when the caller has read the result before it.  The next
+    chunk is read only when a slot is free.  A pool starts only when
+    ``n_jobs > 1`` and there is more than one chunk; otherwise each chunk runs
+    in process as it is read, and none is read ahead.  On
     exit queued chunks are cancelled and the pool is waited for, running
     chunks included: a pool left running races the interpreter's exit hook
     on its wakeup pipe ("Bad file descriptor", or an exception ignored in
     ``threading``), and that hook would wait for the running chunks anyway.
     """
     chunks = iter(chunks)
-    first = list(islice(chunks, n_jobs))
+    first = list(islice(chunks, min(n_jobs, 2)))
     chunks = chain(first, chunks)
     if len(first) < 2:
         for args in chunks:
@@ -725,7 +755,7 @@ def _in_order(run, chunks, n_jobs: int):
     pending: deque = deque()  # (args, future), in chunk order
     try:
         while True:
-            for args in islice(chunks, n_jobs - len(pending)):
+            for args in islice(chunks, n_jobs + 1 - len(pending)):
                 pending.append((args, executor.submit(run, *args)))
             if not pending:
                 break
@@ -738,28 +768,40 @@ def _in_order(run, chunks, n_jobs: int):
 def _run_cells(points: list[PointSpec], n_jobs: int) -> list[BerPoint]:
     """Run distinct cells to their stopping conditions; results in the given order.
 
-    Cells that differ only in rho form a group and share fixed-size chunks of
-    trial indices.  Each chunk lists the group's cells still active when it
-    is read.  Every cell scans its own row in index order and leaves the
-    group when its stop fires or its trials reach the cap, so it stops on the
-    same trial at any worker count and in any group.  No result is read after
-    every cell has stopped.
+    Cells that differ only in rho form a group and share chunks of trial
+    indices, contiguous from trial 0.  Each chunk lists the group's cells
+    still active when it is read, and is ``_CHUNK`` trials long until each of
+    them has an error; then it is sized from their running error rates (see
+    :func:`_chunk_trials`).  Every cell scans its own row in index order and
+    leaves the group when its stop fires or its trials reach the cap, so it
+    stops on the same trial at any worker count, in any group and with any
+    chunk sizes.  No result is read after every cell has stopped.
+
+    Each group's seed prefix is derived before the first chunk, so that a
+    pool's workers inherit ``numpy.random`` loaded, and the prefix cached,
+    from this process when they fork, and the caller finds it loaded after
+    the sweep.
     """
     groups: dict[PointSpec, list[PointSpec]] = {}
     for point in points:
         groups.setdefault(replace(point, rho=0.0), []).append(point)
+    for p in groups:
+        _seed_prefix((p.master_seed, p.nt, p.nr, _encode_snr(p.snr_db)))
     states = {p: {"errors": 0, "aborted": 0, "trials": 0, "floor": p.min_bit_errors}
               for p in points}
     stopped: set[PointSpec] = set()
 
     def chunks():
         for group in groups.values():
-            max_trials = group[0].max_trials
-            for start in range(0, max_trials, _CHUNK):
+            start, max_trials = 0, group[0].max_trials
+            while start < max_trials:
                 active = [p for p in group if p not in stopped]
                 if not active:
                     break
-                yield active, start, min(start + _CHUNK, max_trials)
+                stop = min(start + _chunk_trials([states[p] for p in active], start, n_jobs),
+                           max_trials)
+                yield active, start, stop
+                start = stop
 
     with closing(_in_order(_ber_chunk, chunks(), n_jobs)) as results:
         for (cells, _, _), counts in results:
@@ -775,9 +817,9 @@ def _run_cells(points: list[PointSpec], n_jobs: int) -> list[BerPoint]:
 def run_point(point: PointSpec, n_jobs: int = 1) -> BerPoint:
     """Run one cell to its stopping condition.
 
-    ``n_jobs > 1`` distributes fixed-size trial chunks over processes; the
-    chunk boundaries and the index-ordered stop scan are the same at every
-    worker count, so the aggregate is identical to the sequential run.
+    ``n_jobs > 1`` distributes chunks of trials over processes; the stop scan
+    reads the trials in index order and stops on the same one whatever the
+    chunk boundaries, so the aggregate is identical to the sequential run.
     """
     return _run_cells([point], n_jobs)[0]
 
@@ -811,14 +853,16 @@ def run_trace(point: PointSpec, n_jobs: int = 1) -> TraceAggregate:
     """Average likelihood/BER trajectories over all ``max_trials`` trials of
     the cell; a trace has no error floor, so ``min_bit_errors`` is not read.
 
-    Chunks of ``_CHUNK`` trials run with at most ``n_jobs`` in flight (in
+    Chunks of ``_CHUNK`` trials run with at most ``n_jobs + 1`` in flight (in
     process for one job or one chunk), and each is summed into running
     totals in chunk order as it arrives, so memory does not grow with the
-    trial count.  numpy adds the rows of a matrix of two or more columns one
-    at a time, so the running likelihood sum equals the sum of all the rows
-    bit for bit; a single column (``n_f = 0``) it adds pairwise, so those
-    rows are kept (8 bytes a trial) and summed once.  Bit errors are integer
-    sums, exact in any order.
+    trial count.  Unlike a sweep, a trace does not load ``numpy.random``
+    before its pool starts: its own process never draws, and the module
+    would add to its peak memory.  numpy adds the rows of a matrix of two or
+    more columns one at a time, so the running likelihood sum equals the sum
+    of all the rows bit for bit; a single column (``n_f = 0``) it adds
+    pairwise, so those rows are kept (8 bytes a trial) and summed once.  Bit
+    errors are integer sums, exact in any order.
     """
     if not point.las_enabled:
         raise ValueError("trace experiments require the search to be enabled")

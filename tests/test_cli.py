@@ -701,6 +701,28 @@ def test_negative_snr_in_exponent_form_works_as_written(capsys):
     assert {r["snr_db"] for r in _parse_csv(spaced)} == {"-10"}
 
 
+# argparse once read these as options and exited 2 with "expected one argument"
+@pytest.mark.parametrize("flag,argv", [
+    ("--snr", ["ber-antennas", "--n-list", "2", "--trials", "5"]),
+    ("--snr-list", ["ber-snr", "--nt", "2", "--nr", "2", "--trials", "5"]),
+], ids=["snr", "snr-list"])
+@pytest.mark.parametrize("value,message", [
+    ("-inf", "snr_db = -inf is not a valid operating point"),
+    ("-Infinity", "snr_db = -inf is not a valid operating point"),
+    ("-INF", "snr_db = -inf is not a valid operating point"),
+    ("-nan", "snr_db entries must be real numbers (not NaN), got nan"),
+], ids=["-inf", "-Infinity", "-INF", "-nan"])
+def test_negative_infinity_or_nan_snr_is_rejected_with_its_reason(flag, argv, value, message,
+                                                                   capsys):
+    for tokens in ([flag, value], [f"{flag}={value}"]):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv + tokens)
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err, tokens
+        assert captured.out == ""
+
+
 class TestJobs:
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_non_positive_jobs_exit_2(self, value, capsys):

@@ -6,8 +6,11 @@ import math
 import platform
 import re
 import resource
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from concurrent.futures import Future
 from contextlib import closing
 from dataclasses import replace
 
@@ -774,6 +777,170 @@ class TestRhoGroups:
         run_trace(replace(p, max_trials=4))
         assert computed == [(0, 4)]
         assert all(ref() is None for ref in held)
+
+
+def _scan_loop(counts, state):
+    """The stop scan as a loop over trials: the reference of ``_scan``."""
+    for value in counts:
+        state["trials"] += 1
+        if value < 0:
+            state["aborted"] += 1
+        else:
+            state["errors"] += int(value)
+        if state["errors"] >= state["floor"]:
+            return True
+    return False
+
+
+class _InlineExecutor:
+    """A process pool's stand-in that runs each chunk as it is submitted, in
+    process, and counts the chunks submitted and not yet read."""
+
+    def __init__(self, max_workers):
+        self.max_workers, self.unread, self.most_unread = max_workers, 0, 0
+
+    def submit(self, fn, *args):
+        future = _ReadCounted(self)
+        future.set_result(fn(*args))
+        self.unread += 1
+        self.most_unread = max(self.most_unread, self.unread)
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class _ReadCounted(Future):
+    def __init__(self, executor):
+        super().__init__()
+        self.executor = executor
+
+    def result(self, timeout=None):
+        self.executor.unread -= 1
+        return super().result(timeout)
+
+
+class TestScheduler:
+    """How a sweep's chunks are cut, queued and scanned; no output depends on it."""
+
+    # three groups, each with cells that stop after 23 to 1,607 trials
+    GROUPS = dict(nt=4, nr=6, snr_db=[10.0, 8.0, 12.0], rho=[0.0, 0.5, 1.0, 100.0], n_f=8,
+                  max_trials=2500, min_bit_errors=25, master_seed=0)
+
+    @staticmethod
+    def _state(errors=0, aborted=0, trials=0, floor=25):
+        return {"errors": errors, "aborted": aborted, "trials": trials, "floor": floor}
+
+    @pytest.mark.parametrize("counts,state,trials", [
+        ([25, 0, 0], dict(), 1),                  # stop on the chunk's first trial
+        ([0, -1, 1, 3], dict(errors=21), 4),      # ... on its last
+        ([-1, 4, -1, 2], dict(errors=21), 2),     # aborted trials around the stop
+        ([-1, -1, 0, 1], dict(errors=3), 4),      # no stop
+        ([7], dict(errors=24, aborted=2, trials=90, floor=30), 1),
+    ])
+    def test_scan_stops_on_the_trial_the_loop_stops_on(self, counts, state, trials):
+        expected, got = self._state(**state), self._state(**state)
+        fired = _scan_loop(counts, expected)
+        assert montecarlo._scan(np.array(counts), got) is fired
+        assert got == expected
+        assert got["trials"] - state.get("trials", 0) == trials
+
+    def test_scan_equals_the_loop_on_random_rows(self):
+        rng = np.random.default_rng(7)
+        fired_at = set()
+        for _ in range(2000):
+            n, floor = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+            counts = rng.integers(-1, 4, n) * (rng.random(n) < 0.6)
+            counts[rng.random(n) < 0.15] = -1
+            start = dict(errors=int(rng.integers(0, floor)), aborted=int(rng.integers(0, 5)),
+                         trials=int(rng.integers(5, 50)), floor=floor)
+            expected, got = dict(start), dict(start)
+            fired = _scan_loop(counts, expected)
+            assert montecarlo._scan(counts, got) is fired
+            assert got == expected, (counts.tolist(), start)
+            if fired:
+                fired_at.add(got["trials"] - start["trials"] - 1 == n - 1)
+        assert fired_at == {False, True}  # stops inside chunks and on their last trial
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_chunks_are_contiguous_and_sized_within_bounds(self, n_jobs, monkeypatch):
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _InlineExecutor)
+        read = []
+        real_chunk = montecarlo._ber_chunk
+
+        def spy(points, start, stop):
+            read.append((points[0].snr_db, start, stop))
+            return real_chunk(points, start, stop)
+
+        monkeypatch.setattr(montecarlo, "_ber_chunk", spy)
+        cfg = ExperimentConfig(**self.GROUPS)
+        run_sweep(cfg, n_jobs=n_jobs)
+        low, high = montecarlo._MIN_CHUNK, montecarlo._CHUNK
+        for snr in cfg.snr_db:
+            chunks = [(start, stop) for s, start, stop in read if s == snr]
+            assert [start for start, _ in chunks] == [0] + [stop for _, stop in chunks[:-1]]
+            assert chunks[0][1] == min(high, cfg.max_trials)
+            for start, stop in chunks[1:]:
+                assert low <= stop - start <= high or stop == cfg.max_trials, (snr, start, stop)
+        assert min(stop - start for _, start, stop in read) < high  # sized from the rates
+
+    def test_chunk_trials_share_the_trials_still_needed(self):
+        state = self._state
+        assert montecarlo._chunk_trials([state(5, trials=100), state(0, trials=100)], 100, 2) \
+            == montecarlo._CHUNK  # a cell without an error
+        # the slowest cell needs 600 * 25 / 5 - 600 = 2,400 more trials: over 3 chunks, capped
+        assert montecarlo._chunk_trials([state(5, trials=600), state(20, trials=600)], 600, 2) \
+            == montecarlo._CHUNK
+        # 840 * 25 / 20 - 1,000 = 50 more trials: raised to the minimum
+        assert montecarlo._chunk_trials([state(20, trials=840)], 1000, 2) == montecarlo._MIN_CHUNK
+        # 600 * 25 / 10 - 1,000 = 500 more trials over 3 chunks
+        assert montecarlo._chunk_trials([state(10, trials=600)], 1000, 2) == 167
+
+    def test_a_multi_group_sweep_is_identical_at_one_two_and_three_jobs(self):
+        cfg = ExperimentConfig(nt=4, nr=6, snr_db=[10.0, 6.0], rho=[0.5, 1.0, 1.5], n_f=8,
+                               max_trials=3000, min_bit_errors=40, master_seed=1)
+        results = [run_sweep(cfg, n_jobs=n_jobs) for n_jobs in (1, 2, 3)]
+        assert results[0] == results[1] == results[2]
+        assert [r.trials_run for r in results[0]] == [2517, 787, 3000, 1597, 1289, 2434]
+
+    @pytest.mark.parametrize("n_jobs", [2, 3])
+    def test_a_pool_queues_one_chunk_ahead_and_inherits_the_seed_prefixes(self, n_jobs,
+                                                                          monkeypatch):
+        montecarlo._seed_prefix.cache_clear()
+        built = []
+        cfg = ExperimentConfig(**self.GROUPS)
+        keys = [(cfg.master_seed, cfg.nt[0], cfg.nr[0], montecarlo._encode_snr(snr))
+                for snr in cfg.snr_db]
+
+        def build(max_workers):
+            # every group's prefix is already cached when the pool is built
+            hits = montecarlo._seed_prefix.cache_info().hits
+            for key in keys:
+                montecarlo._seed_prefix(key)
+            assert montecarlo._seed_prefix.cache_info().hits == hits + len(keys)
+            built.append(_InlineExecutor(max_workers))
+            return built[-1]
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", build)
+        assert run_sweep(cfg, n_jobs=n_jobs) == run_sweep(cfg, n_jobs=1)
+        (pool,) = built
+        assert pool.most_unread == n_jobs + 1
+
+    def test_a_trace_leaves_numpy_random_unloaded_in_its_own_process(self, package_env):
+        # a trace's process never draws: loading numpy.random there would add
+        # to its peak memory; a sweep's loads it for its workers to inherit
+        code = (
+            "import sys\n"
+            "from mimo_slas.montecarlo import ExperimentConfig, run_sweep, run_trace\n"
+            "cfg = ExperimentConfig(nt=2, nr=2, snr_db=10.0, n_f=4, max_trials=600)\n"
+            "run_trace(cfg.points()[0], n_jobs=2)\n"
+            "print('numpy.random' in sys.modules)\n"
+            "run_sweep(cfg, n_jobs=2)\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=package_env, check=True, timeout=120)
+        assert proc.stdout.split() == ["False", "True"]
 
 
 class TestBlocks:
