@@ -43,7 +43,9 @@ faulted in again by the next.  No output depends on it.
 
 Execution: cells that differ only in rho form a group and run over shared
 chunks of consecutive trial indices, the unit of the process pool and of the
-stop scan.  A trace's chunks hold ``_CHUNK`` trials.  A sweep's chunks hold
+stop scan.  A trace's chunks hold at most ``_TRACE_BYTES`` (256 KiB) of
+likelihood rows, or one row, in whole blocks where a block fits, and never
+more than ``_CHUNK`` trials (:func:`_trace_trials`).  A sweep's chunks hold
 ``_CHUNK`` until each active cell has an error, then are sized from the
 cells' running error rates within ``[_MIN_CHUNK, _CHUNK]``, so that the
 chunks in flight past the slowest cell's stop stay short; the stop scan
@@ -63,8 +65,9 @@ inside that call.  Sweeps and traces run their chunks through one loop,
 there is more than one chunk, and then keeps one chunk queued behind the
 ``n_jobs`` running ones.  A sweep feeds it every group's chunks in turn,
 after loading ``numpy.random`` (with each group's seed prefix) in its own
-process, which the pool's workers inherit at fork; a trace sums each chunk
-into running totals as it arrives.
+process, which the pool's workers inherit at fork; a trace chunk writes
+each block's rows in one pass over its flip records, and the trace sums
+each chunk into running totals as it arrives.
 """
 
 from __future__ import annotations
@@ -113,6 +116,9 @@ _BLOCK_BYTES = 1 << 20
 # What one sub-block of the draw and of detection may hold of complex channel
 # (see _draws): 16 trials at 32x32, one at 128x128.
 _DRAW_BYTES = 1 << 18
+# What one trace chunk's likelihood rows may hold (see _trace_trials): 84
+# trials at n_f = 384, and _CHUNK for every n_f <= 63.
+_TRACE_BYTES = 1 << 18
 # glibc's mallopt parameters (malloc.h) and the values a trial process sets
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _HEAP_MMAP_THRESHOLD = 32 << 20
@@ -178,11 +184,12 @@ def _integer(name: str):
 
 def _real(name: str):
     """Checker for a float axis entry: a real number that is not NaN passes as
-    float; anything else (a string, a bool, NaN) is a ValueError naming it."""
+    float, -0.0 as 0.0 (one cell, one spelling); anything else (a string, a
+    bool, NaN) is a ValueError naming it."""
     def check(value) -> float:
         if (isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
                 and not math.isnan(value)):
-            return float(value)
+            return float(value) + 0.0  # -0.0 + 0.0 is 0.0
         raise ValueError(f"{name} entries must be real numbers (not NaN), got {value!r}")
     return check
 
@@ -833,19 +840,38 @@ def run_sweep(cfg: ExperimentConfig, n_jobs: int = 1) -> list[BerPoint]:
     return _run_cells(cfg.points(), n_jobs)
 
 
+def _trace_trials(point: PointSpec) -> int:
+    """Trials of a trace chunk: ``_CHUNK``, unless fewer rows of ``n_f + 1``
+    floats fit in ``_TRACE_BYTES``; then as many as fit, at least one,
+    rounded down to whole blocks where a block fits, so that the budget
+    cuts no block short."""
+    trials = max(1, _TRACE_BYTES // (8 * (point.n_f + 1)))
+    if trials >= _CHUNK:
+        return _CHUNK
+    block = _block_trials((point,))
+    return trials // block * block if block <= trials else trials
+
+
 def _trace_chunk(point: PointSpec, start: int, stop: int):
     """Trials [start, stop)'s likelihood rows (trials x (n_f + 1)) and the
-    per-step sums of their bit errors."""
+    per-step sums of their bit errors.
+
+    Each trial is one :func:`trial` call; after the last trial of a block
+    the block's rows are written in one pass over its flip records
+    (:meth:`~mimo_slas.slas.SlasBlock.paths`).  A singular trial raises in
+    its call, so a block that reaches its last trial searched every one of
+    its trials, and trial ``first + k`` is its row k."""
     _hold_heap()
     lams = np.empty((stop - start, point.n_f + 1), dtype=np.float64)
     err_sum = np.zeros(point.n_f + 1, dtype=np.int64)
     chunk = _Chunk((point,), start, stop)
     for i in range(start, stop):
-        _, tr = trial(point, i, record_trace=True, chunk=chunk)
-        lams[i - start, 0] = tr.initial_likelihood
-        lams[i - start, 1:] = tr.likelihood
-        err_sum[0] += tr.initial_bit_errors
-        err_sum[1:] += tr.bit_errors
+        trial(point, i, chunk=chunk)
+        if i + 1 == chunk.end:
+            _, _, block, _ = chunk.outcomes
+            _, rows, errs = block.paths(0, chunk.end - chunk.first)
+            lams[chunk.first - start:chunk.end - start] = rows
+            err_sum += errs.sum(axis=0)
     return lams, err_sum
 
 
@@ -853,23 +879,27 @@ def run_trace(point: PointSpec, n_jobs: int = 1) -> TraceAggregate:
     """Average likelihood/BER trajectories over all ``max_trials`` trials of
     the cell; a trace has no error floor, so ``min_bit_errors`` is not read.
 
-    Chunks of ``_CHUNK`` trials run with at most ``n_jobs + 1`` in flight (in
+    Chunks of at most ``_TRACE_BYTES`` of likelihood rows (or one row; see
+    :func:`_trace_trials`) run with at most ``n_jobs + 1`` in flight (in
     process for one job or one chunk), and each is summed into running
     totals in chunk order as it arrives, so memory does not grow with the
-    trial count.  Unlike a sweep, a trace does not load ``numpy.random``
-    before its pool starts: its own process never draws, and the module
-    would add to its peak memory.  numpy adds the rows of a matrix of two or
-    more columns one at a time, so the running likelihood sum equals the sum
-    of all the rows bit for bit; a single column (``n_f = 0``) it adds
-    pairwise, so those rows are kept (8 bytes a trial) and summed once.  Bit
-    errors are integer sums, exact in any order.
+    trial count.  A worker returns its rows, not their sum: float addition
+    is not associative, so the rows are added here, in trial order.  Unlike
+    a sweep, a trace does not load ``numpy.random`` before its pool starts:
+    its own process never draws, and the module would add to its peak
+    memory.  numpy adds the rows of a matrix of two or more columns one at a
+    time, so the running likelihood sum equals the sum of all the rows bit
+    for bit; a single column (``n_f = 0``) it adds pairwise, so those rows
+    are kept (8 bytes a trial) and summed once.  Bit errors are integer
+    sums, exact in any order.
     """
     if not point.las_enabled:
         raise ValueError("trace experiments require the search to be enabled")
     trials = point.max_trials
     if trials < 1:  # a PointSpec built by hand is not validated
         raise ValueError(f"max_trials must be >= 1, got {trials}")
-    chunks = ((point, start, min(start + _CHUNK, trials)) for start in range(0, trials, _CHUNK))
+    size = _trace_trials(point)
+    chunks = ((point, start, min(start + size, trials)) for start in range(0, trials, size))
     held: list = []  # likelihood rows not yet summed, in trial order
     err_sum = 0
     for _, (lams, errs) in _in_order(_trace_chunk, chunks, n_jobs):

@@ -44,7 +44,8 @@ row's bits, gradient and gains go through the same IEEE operations, in the
 same order, as a search run alone, so a row's record is byte for byte
 that of a block of one row, which is what a single search is.  The block
 skips the steps on which no row can flip (see :func:`_search`) and records
-only flips; :class:`SlasBlock` expands a row into its per-step
+only flips; :meth:`SlasBlock.paths` expands a range of rows into their
+per-step paths, and :meth:`SlasBlock.row` one row into its
 :class:`SlasTrace`.
 
 Antenna indices are 0-based everywhere.
@@ -126,8 +127,9 @@ class SlasBlock:
     and leaves the new bit wrong if ``flip_wrong[q]`` (None without a true
     payload); row i's records are ``offsets[i]:offsets[i+1]``, in step
     order.  ``flips`` and ``steps_run`` are totals over the rows.
-    :meth:`row` expands one row into its :class:`SlasTrace`, whose paths are
-    running sums of the records from the row's initial values.
+    :meth:`paths` expands a range of rows into their per-step paths in one
+    pass, as running sums of the records from the rows' initial values, and
+    :meth:`row` is that of one row, as its :class:`SlasTrace`.
     """
 
     n_f: int
@@ -149,28 +151,54 @@ class SlasBlock:
     def steps_run(self) -> int:
         return self.final_bits.shape[0] * self.n_f
 
-    def row(self, i: int) -> SlasTrace:
-        """The per-step trace of row ``i``."""
-        n_f, nt = self.n_f, self.final_bits.shape[1]
-        first, last = self.offsets[i], self.offsets[i + 1]
-        steps = self.flip_step[first:last]
-        flipped = np.zeros(n_f, dtype=bool)
-        flipped[steps] = True
-        done = flipped.cumsum()  # flips up to and including each step
-        gains = self.flip_gain[first:last]  # cumsum adds left to right, as the loop would
-        lams = np.cumsum(np.concatenate(([self.initial_likelihood[i]], gains)))
+    def paths(self, first: int, stop: int):
+        """Rows [first, stop)'s per-step paths, from their flip records in one
+        pass: ``(flipped, likelihood, bit_errors)``, with ``flipped[r, k]``
+        whether step k flipped, and ``likelihood`` and ``bit_errors`` (int32,
+        None without a true payload) of shape (rows, n_f + 1), column 0 the
+        initial value and column k + 1 the value after step k.
+
+        A row's likelihood is the running sum of its gains from its initial
+        value, taken left to right (``cumsum`` along the padded rows), as
+        the loop's ``lam += gain``; its bit errors add one for each flip to a
+        wrong bit and subtract one for each other flip.
+        """
+        n_f, rows = self.n_f, stop - first
+        lo, hi = self.offsets[first], self.offsets[stop]
+        owner = self.flip_row[lo:hi]
+        nth = np.arange(lo, hi) - self.offsets[owner]  # each record's place in its row
+        row = owner - first
+        steps = self.flip_step[lo:hi]
+        flipped = np.zeros((rows, n_f), dtype=bool)
+        flipped[row, steps] = True
+        done = np.zeros((rows, n_f + 1), dtype=np.int64)  # flips up to each column
+        np.cumsum(flipped, axis=1, out=done[:, 1:])
+        width = int(np.diff(self.offsets[first:stop + 1]).max(initial=0)) + 1
+        gains = np.zeros((rows, width))  # the padding past a row's flips is never read
+        gains[:, 0] = self.initial_likelihood[first:stop]
+        gains[row, nth + 1] = self.flip_gain[lo:hi]
+        likelihood = np.take_along_axis(np.cumsum(gains, axis=1), done, axis=1)
         errs = None
         if self.initial_bit_errors is not None:
-            changes = np.where(self.flip_wrong[first:last], 1, -1)  # a wrong new bit adds one
-            errs = np.cumsum(np.concatenate(([self.initial_bit_errors[i]], changes)))
-            errs = errs.astype(np.int32)[done]
-        flips = int(last - first)
-        silent = n_f - int(steps[-1]) - 1 if flips else n_f  # steps since the last flip
+            errs = np.zeros((rows, n_f + 1), dtype=np.int32)
+            errs[:, 0] = self.initial_bit_errors[first:stop]
+            errs[row, steps + 1] = np.where(self.flip_wrong[lo:hi], 1, -1)
+            np.cumsum(errs, axis=1, dtype=np.int32, out=errs)
+        return flipped, likelihood, errs
+
+    def row(self, i: int) -> SlasTrace:
+        """The per-step trace of row ``i``: :meth:`paths` of that row."""
+        n_f, nt = self.n_f, self.final_bits.shape[1]
+        (flipped,), (lams,), errs = self.paths(i, i + 1)
+        last = self.offsets[i + 1]
+        flips = int(last - self.offsets[i])
+        # steps since the last flip
+        silent = n_f - int(self.flip_step[last - 1]) - 1 if flips else n_f
         return SlasTrace(
             antenna=np.arange(n_f, dtype=np.int32) % nt,
-            likelihood=lams[done],
+            likelihood=lams[1:],
             flipped=flipped,
-            bit_errors=errs,
+            bit_errors=None if errs is None else errs[0, 1:],
             final_bits=self.final_bits[i],
             initial_likelihood=float(self.initial_likelihood[i]),
             initial_bit_errors=None if errs is None else int(self.initial_bit_errors[i]),
@@ -304,7 +332,7 @@ def _search(y_eff, h_real, zeta, bits, rhos, n_f, truth) -> SlasBlock:
       for b_j = +1, here as ``b_j * g_j < -(rho * zeta_j)``;
     * the gain ``(-2 * b_j) * g_j - 2 * (H_real)_jj``, here as
       ``-((2 * b_j) * g_j + 2 * (H_real)_jj)``, the same roundings negated
-      (round to nearest is symmetric), recorded; :meth:`SlasBlock.row`
+      (round to nearest is symmetric), recorded; :meth:`SlasBlock.paths`
       adds it to the likelihood as the loop's ``lam += gain``;
     * ``g += (2 * b_j) * (H_real row j)``, with the pre-flip bit.
     """
@@ -320,7 +348,8 @@ def _search(y_eff, h_real, zeta, bits, rhos, n_f, truth) -> SlasBlock:
     b = bits[trial_of]
     g = g0[trial_of]
     initial_lam = lam0[trial_of]
-    below = -(rhos[None, :, None] * zeta[:, None, :]).reshape(n_rows, nt)
+    with np.errstate(over="ignore"):  # a huge rho's infinite threshold never flips
+        below = -(rhos[None, :, None] * zeta[:, None, :]).reshape(n_rows, nt)
     h_rows = h_real.reshape(-1, nt)  # row t * nt + j is row j of trial t's H_real
     diag2 = 2.0 * np.diagonal(h_real, axis1=1, axis2=2).reshape(-1)
 

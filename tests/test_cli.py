@@ -186,6 +186,16 @@ class TestBerCommands:
         assert all(r["las"] == "on" for r in rows)
         assert [r["rho"] for r in rows] == ["0.9", "1"]
 
+    # -0 is the cell 0, with 0's seed key: it once printed as -0
+    @pytest.mark.parametrize("command,flag", [("ber-rho", "--rho-list"),
+                                              ("trace", "--snr-list")])
+    def test_negative_zero_writes_as_zero(self, command, flag, capsys):
+        argv = [command, "--n-list" if command == "ber-rho" else "--nt", "2",
+                "--steps", "4", "--trials", "5", "--seed", "3"]
+        _, out = _run(argv + [f"{flag}=-0"], capsys)
+        _, expected = _run(argv + [f"{flag}=0"], capsys)
+        assert out == expected
+
     # a finite snr beyond about 1.8e305 dB has no milli-dB seed key; it once
     # died with an OverflowError (exit 1)
     @pytest.mark.parametrize("command", ["ber-snr", "trace"])

@@ -579,6 +579,14 @@ class TestExperimentConfig:
         assert cfg.rho == (0.0, 0.9, 1.0)
         assert all(type(v) is float for v in cfg.snr_db + cfg.rho)
 
+    def test_negative_zero_is_zero(self):
+        # -0.0 == 0.0, so both spellings are one cell with one seed key; the
+        # config keeps the one spelling its rows print
+        cfg = ExperimentConfig(nt=4, nr=4, snr_db=[-0.0, np.float64(-0.0) + 5],
+                               rho=[np.float32(-0.0), 1])
+        assert [math.copysign(1.0, v) for v in cfg.snr_db + cfg.rho] == [1.0] * 4
+        assert repr(cfg) == repr(ExperimentConfig(nt=4, nr=4, snr_db=[0, 5], rho=[0, 1]))
+
     @pytest.mark.parametrize("field", ["nt", "nr", "snr_db", "rho", "detector", "las_enabled"])
     def test_empty_axes_are_rejected(self, field):
         kwargs = dict(nt=4, nr=4, snr_db=10.0)
@@ -1087,6 +1095,57 @@ class TestRunTrace:
         b = run_trace(p, n_jobs=2)
         assert a.mean_likelihood.tobytes() == b.mean_likelihood.tobytes()
         assert a.mean_ber.tobytes() == b.mean_ber.tobytes()
+
+    @pytest.mark.parametrize("nt", [1, 4, 32, 128])
+    @pytest.mark.parametrize("n_f", [0, 1, 63, 64, 200, 384, 5000, 10**6])
+    def test_a_chunk_holds_whole_blocks_of_rows_within_the_budget(self, nt, n_f):
+        p = _point(nt=nt, nr=nt, n_f=n_f)
+        trials, block = montecarlo._trace_trials(p), montecarlo._block_trials((p,))
+        assert 1 <= trials <= montecarlo._CHUNK
+        if n_f <= 63:
+            assert trials == montecarlo._CHUNK
+        if trials < montecarlo._CHUNK:  # cut by the budget
+            assert trials == 1 or trials * 8 * (n_f + 1) <= montecarlo._TRACE_BYTES
+            assert trials < block or trials % block == 0
+            assert trials + block > montecarlo._TRACE_BYTES // (8 * (n_f + 1))
+        if (nt, n_f) == (128, 384):  # criterion 7's cell: twelve blocks of seven
+            assert (trials, block) == (84, 7)
+
+    def test_outputs_do_not_depend_on_the_trace_budget(self, monkeypatch):
+        # criterion 7's cell, in three chunks at the default budget (84
+        # trials), 26 of one block (7) and 36 of five trials, under a block
+        p = _point(nt=128, nr=128, snr_db=10.0, n_f=384, max_trials=180)
+        traces = [trial(p, i, record_trace=True)[1] for i in range(p.max_trials)]
+        lams = np.add.reduce([np.concatenate(([t.initial_likelihood], t.likelihood))
+                              for t in traces], axis=0) / p.max_trials
+        bers = np.mean([np.concatenate(([t.initial_bit_errors], t.bit_errors))
+                        for t in traces], axis=0) / p.nt
+        row = 8 * (p.n_f + 1)
+        for budget, chunk in ((montecarlo._TRACE_BYTES, 84), (7 * row, 7), (5 * row + 3, 5)):
+            monkeypatch.setattr(montecarlo, "_TRACE_BYTES", budget)
+            assert montecarlo._trace_trials(p) == chunk
+            for n_jobs in (1, 2):
+                agg = run_trace(p, n_jobs=n_jobs)
+                assert agg.mean_likelihood.tobytes() == lams.tobytes(), (chunk, n_jobs)
+                assert agg.mean_ber.tobytes() == bers.tobytes(), (chunk, n_jobs)
+
+    def test_a_trace_chunk_calls_trial_once_per_trial(self, monkeypatch):
+        # each trial is one call (perfbench counts and times them), though the
+        # rows are written a block at a time
+        p = _point(nt=32, nr=32, n_f=90, max_trials=300)
+        monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", 7 * montecarlo._trial_bytes(32, 1))
+        expected = montecarlo._trace_chunk(p, 3, 40)
+        called = []
+
+        def spy(point, index, *args, **kwargs):
+            called.append(index)
+            return trial(point, index, *args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "trial", spy)
+        lams, errs = montecarlo._trace_chunk(p, 3, 40)
+        assert called == list(range(3, 40))
+        assert lams.tobytes() == expected[0].tobytes()
+        assert errs.tobytes() == expected[1].tobytes()
 
     def test_requires_search_enabled(self):
         with pytest.raises(ValueError):

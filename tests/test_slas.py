@@ -7,6 +7,7 @@ The incremental kernel must agree with all of them to float precision.
 """
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -446,3 +447,82 @@ def test_block_records_each_flip_by_what_it_changes():
         assert trace.likelihood.tobytes() == lams[done].tobytes()
         np.testing.assert_array_equal(trace.bit_errors, errs[done])
     assert block.flips > 50 and losses > 0
+
+
+def _paths_by_loop(block, i):
+    """Row i's likelihood and bit-error paths (initial value first) the slow
+    way: one step at a time, ``lam += gain`` at each of the row's flips."""
+    records = {int(block.flip_step[q]): q
+               for q in range(block.offsets[i], block.offsets[i + 1])}
+    lam = block.initial_likelihood[i]
+    errs = None if block.initial_bit_errors is None else int(block.initial_bit_errors[i])
+    lams, err_path, flipped = [lam], [errs], []
+    for k in range(block.n_f):
+        q = records.get(k)
+        flipped.append(q is not None)
+        if q is not None:
+            lam += block.flip_gain[q]
+            if errs is not None:
+                errs += 1 if block.flip_wrong[q] else -1
+        lams.append(lam)
+        err_path.append(errs)
+    return (np.array(flipped, dtype=bool), np.array(lams, dtype=np.float64),
+            None if errs is None else np.array(err_path, dtype=np.int32))
+
+
+@pytest.mark.parametrize("with_truth", [True, False])
+def test_block_paths_equal_a_loop_over_each_rows_records(with_truth):
+    """``SlasBlock.paths`` over any range of rows is, as bytes, a per-row loop
+    over the records: on blocks with rows that never flip, n_f = 0, nt = 1
+    and rho < 1 rows that flip on most steps."""
+    rng = np.random.default_rng(RNG_STREAM + 11)
+    cases = [(1, 5, [0.0, 1.0, 1e3]), (4, 0, [1.0]), (6, 40, [0.0, 0.3, 1.0, 50.0]),
+             (16, 48, [0.5, 1.0])]
+    silent = 0  # rows of n_f > 0 steps that never flip
+    for nt, n_f, rhos in cases:
+        setups = [_random_setup(nt, nt + 2, int(rng.integers(1 << 30)), snr_db=2.0)
+                  for _ in range(5)]
+        stacked = SlasWorkspace(*(np.stack([getattr(s[0], f) for s in setups])
+                                  for f in ("y_eff", "h_real")))
+        truth = np.stack([s[2] for s in setups]) if with_truth else None
+        start = -np.stack([s[1] for s in setups])  # the negated decisions flip often
+        _, block = run(stacked, start, rhos, n_f, b_true=truth)
+        rows = len(setups) * len(rhos)
+        counts = np.diff(block.offsets)
+        assert n_f == 0 or counts.max() > 0, (nt, n_f)
+        silent += int(np.count_nonzero(counts == 0)) if n_f else 0
+        for first, stop in [(0, rows), (1, rows - 2), (3, 4), (rows - 1, rows)]:
+            flipped, lams, errs = block.paths(first, stop)
+            assert flipped.shape == (stop - first, n_f)
+            assert lams.shape == (stop - first, n_f + 1) and lams.dtype == np.float64
+            assert (errs is None) == (not with_truth)
+            for r in range(stop - first):
+                loop_flipped, loop_lams, loop_errs = _paths_by_loop(block, first + r)
+                assert flipped[r].tobytes() == loop_flipped.tobytes()
+                assert lams[r].tobytes() == loop_lams.tobytes()
+                if with_truth:
+                    assert (errs.dtype, errs[r].tobytes()) == (np.int32, loop_errs.tobytes())
+    assert silent > 0
+    assert counts.max() > n_f // 2  # rho = 0.5 from the negated start flips on most steps
+
+
+def test_a_huge_rho_never_flips_without_a_warning():
+    """rho * zeta overflows to an infinite threshold for rho = 1e308, which
+    never fires; the overflow is no warning, and the block's other rows keep
+    their bytes."""
+    ws, b0, b_true = _random_setup(4, 4, 41, snr_db=0.0)
+    ws = SlasWorkspace(y_eff=ws.y_eff[None], h_real=ws.h_real[None])
+    with np.errstate(over="ignore"):
+        assert np.isinf(1e308 * ws.zeta_base).any()  # the product does overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hd, alone = run(SlasWorkspace(ws.y_eff[0], ws.h_real[0]), b0, 1e308, 20)
+        final, block = run(ws, -b0[None], [0.5, 1e308, 1.0], 20, b_true=b_true[None])
+    assert alone.flips == 0 and hd.tobytes() == b0.tobytes()
+    assert np.diff(block.offsets).tolist()[1] == 0
+    assert final[1].tobytes() == (-b0).tobytes()
+    _, without = run(ws, -b0[None], [0.5, 1.0], 20, b_true=b_true[None])
+    for row, other in ((0, 0), (2, 1)):
+        for field in ("likelihood", "flipped", "bit_errors", "final_bits", "final_gradient"):
+            a, b = getattr(block.row(row), field), getattr(without.row(other), field)
+            assert a.tobytes() == b.tobytes(), (row, field)
